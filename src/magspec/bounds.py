@@ -31,6 +31,7 @@ __all__ = [
     "check_sup_norm_riesz_lower",
     "ANALYTIC_SLACK_RTOL",
     "discrete_slack",
+    "CHECKS",
 ]
 
 #: Relative slack applied to checks on exact (analytic) spectra.
@@ -78,10 +79,6 @@ def _make_check(name: str, lhs: float, rhs: float, margin: float, slack: float,
         diagnostic=diagnostic,
         context=context,
     )
-
-
-def _constants(spec: Spectrum) -> ConstantsTable:
-    return constants_table(spec.d, p_list=(2.0,))
 
 
 def riesz_mean(spec: Spectrum, lam: float) -> float:
@@ -143,7 +140,7 @@ def check_riesz_lower(spec: Spectrum, lam: float, slack: float = 0.0,
                       table: ConstantsTable | None = None) -> BoundCheck:
     """Riesz mean >= (2/(d+2)) H_d^{-1} lambda_1^{-d/2} (lambda-lambda_1)_+^{1+d/2}."""
     d = spec.d
-    table = table or _constants(spec)
+    table = table or constants_table(d, p_list=())
     lam1 = float(spec.values[0])
     rhs = riesz_mean(spec, lam)
     lhs = (2.0 / (d + 2)) / table.ratio_constant * lam1 ** (-d / 2) \
@@ -161,7 +158,7 @@ def check_shifted_sum_upper(spec: Spectrum, k: int, slack: float = 0.0,
     k = int(k)
     if not 1 <= k <= len(spec):
         raise ValueError(f"need 1 <= k <= {len(spec)}, got {k}")
-    table = table or _constants(spec)
+    table = table or constants_table(d, p_list=())
     lam1 = float(spec.values[0])
     lhs = float((spec.values[:k] - lam1).sum())
     rhs = (d / (d + 2)) * table.ratio_constant ** (2 / d) * lam1 * k ** (1 + 2 / d)
@@ -178,18 +175,27 @@ def check_ratio_bounds(spec: Spectrum, k: int, slack: float = 0.0,
     k = int(k)
     if not 1 <= k <= len(spec) - 1:
         raise ValueError(f"need 1 <= k <= {len(spec) - 1} for lambda_(k+1), got {k}")
-    table = table or _constants(spec)
+    table = table or constants_table(d, p_list=())
     hd = table.ratio_constant
     lam1 = float(spec.values[0])
     lhs = float(spec.values[k])
     ctx = {"k": k, "d": d, "lambda_1": lam1, "H_d": hd}
     rhs_direct = lam1 * (1 + (1 + d / 2) ** (2 / d) * hd ** (2 / d) * k ** (2 / d))
     rhs_sum = lam1 * (1 + 4 / d) * (1 + d / (d + 2) * hd ** (2 / d) * k ** (2 / d))
-    rhs_ppw = lam1 * (1 + 4 / d) ** k
+    try:
+        rhs_ppw = lam1 * (1 + 4 / d) ** k
+    except OverflowError:
+        rhs_ppw = math.inf
+    if math.isfinite(rhs_ppw):
+        ppw = _make_check("ratio-ppw", lhs, rhs_ppw, rhs_ppw - lhs, slack, ctx)
+    else:
+        ppw = _make_check("ratio-ppw", math.nan, math.nan, math.nan, slack,
+                          {**ctx, "note": "(1+4/d)^k lambda_1 exceeds the float range"},
+                          applicable=False)
     return [
         _make_check("ratio-direct", lhs, rhs_direct, rhs_direct - lhs, slack, ctx),
         _make_check("ratio-via-sum", lhs, rhs_sum, rhs_sum - lhs, slack, ctx),
-        _make_check("ratio-ppw", lhs, rhs_ppw, rhs_ppw - lhs, slack, ctx),
+        ppw,
     ]
 
 
@@ -255,3 +261,51 @@ def check_sup_norm_riesz_lower(spec: Spectrum, sup_norm_omega: float, lam: float
         "ground-state-riesz-lower", lhs, rhs, rhs - lhs, slack,
         {"lambda": lam, "d": d, "lambda_1": lam1, "sup_norm": sup_norm_omega},
     )
+
+
+# ---------------------------------------------------------------------------
+# check registry
+
+#: Config check name -> (parameter key, slack scale, check call).  The
+#: parameter key is ``ks`` or ``lambdas``.  ``scale(spec, x, table=, sup=)`` is
+#: the size the check's discretization slack is proportional to, and
+#: ``run(spec, x, slack, table=, sup=)`` evaluates the check at parameter x;
+#: ``sup`` is the sup norm of the unit-L2 ground state (None when analytic).
+#: The calls look each check function up by its module-level name when they
+#: run, so a wrapper installed on this module sees every call.
+CHECKS: dict[str, tuple] = {
+    "berezin-li-yau": (
+        "lambdas",
+        lambda spec, lam, table, **_:
+            2 / (spec.d + 2) * table.ball_volume * spec.measure * lam ** (1 + spec.d / 2),
+        lambda spec, lam, slack, **_: check_berezin_li_yau(spec, spec.measure, lam, slack)),
+    "li-yau": (
+        "ks",
+        lambda spec, k, **_:
+            float(spec.values[: int(k)].sum()) if int(k) <= len(spec) else spec.values[-1],
+        lambda spec, k, slack, **_: check_li_yau(spec, spec.measure, int(k), slack)),
+    "riesz-mean-lower": (
+        "lambdas",
+        lambda spec, lam, **_: lam ** (1 + spec.d / 2) / spec.values[0] ** (spec.d / 2),
+        lambda spec, lam, slack, table, **_: check_riesz_lower(spec, lam, slack, table)),
+    "shifted-sum-upper": (
+        "ks",
+        lambda spec, k, **_: spec.values[0] * int(k) ** (1 + 2 / spec.d),
+        lambda spec, k, slack, table, **_: check_shifted_sum_upper(spec, int(k), slack, table)),
+    "ratio-bounds": (
+        "ks",
+        lambda spec, k, **_: spec.values[min(int(k), len(spec) - 1)],
+        lambda spec, k, slack, table, **_: check_ratio_bounds(spec, int(k), slack, table)),
+    "yang": (
+        "ks",
+        lambda spec, k, **_: float(spec.values[min(int(k), len(spec) - 1)]) ** 2 * int(k),
+        lambda spec, k, slack, **_: check_yang(spec, int(k), slack)),
+    "yang-corollaries": (
+        "ks",
+        lambda spec, k, **_: spec.values[min(int(k), len(spec) - 1)],
+        lambda spec, k, slack, **_: check_yang_corollaries(spec, int(k), slack)),
+    "ground-state-riesz-lower": (
+        "lambdas",
+        lambda spec, lam, sup, **_: lam ** (1 + spec.d / 2) / sup**2,
+        lambda spec, lam, slack, sup, **_: check_sup_norm_riesz_lower(spec, sup, lam, slack)),
+}

@@ -124,9 +124,6 @@ class GridDomain:
     def measure(self) -> float:
         return self.n * self.h**2
 
-    def node_position(self, k: int) -> tuple[float, float]:
-        return (self.points[k, 0], self.points[k, 1])
-
 
 def _load_csv_array(path: str) -> np.ndarray:
     p = Path(path)
@@ -269,49 +266,40 @@ class PotentialSpec:
     def grid_file(cls, path: str) -> "PotentialSpec":
         return cls(kind="grid_file", path=str(path))
 
+    def formula(self, x, y):
+        """Value of an analytic (non grid-file) potential at points (x, y)."""
+        if self.kind in ("zero", "constant"):
+            return np.full_like(x, self.c)
+        if self.kind == "radial_quadratic":
+            dx = x - self.center[0]
+            dy = y - self.center[1]
+            return self.a * (dx * dx + dy * dy)
+        raise ValueError(f"potential kind {self.kind!r} has no closed form")
+
     def sample_on(self, dom: GridDomain) -> np.ndarray:
         """Potential values at all interior nodes of a domain."""
-        if self.kind == "zero":
-            return np.zeros(dom.n)
-        if self.kind == "constant":
-            return np.full(dom.n, self.c)
-        if self.kind == "radial_quadratic":
-            dx = dom.points[:, 0] - self.center[0]
-            dy = dom.points[:, 1] - self.center[1]
-            return self.a * (dx * dx + dy * dy)
-        if self.kind == "grid_file":
-            arr = _load_csv_array(self.path)
-            vals = arr.T  # rows are y-lines, same layout as mask files
-            if vals.shape != dom.dims:
-                raise InputDataError(
-                    f"potential grid {vals.shape} does not match domain grid {dom.dims}"
-                )
-            if (vals < 0).any():
-                raise InputDataError("grid-file potential contains negative values")
-            ii, jj = np.nonzero(dom.mask)
-            return vals[ii, jj]
-        raise ValueError(f"unknown potential kind {self.kind!r}")
+        if self.kind != "grid_file":
+            return self.formula(dom.points[:, 0], dom.points[:, 1])
+        arr = _load_csv_array(self.path)
+        vals = arr.T  # rows are y-lines, same layout as mask files
+        if vals.shape != dom.dims:
+            raise InputDataError(
+                f"potential grid {vals.shape} does not match domain grid {dom.dims}"
+            )
+        if (vals < 0).any():
+            raise InputDataError("grid-file potential contains negative values")
+        ii, jj = np.nonzero(dom.mask)
+        return vals[ii, jj]
 
 
 def sample_potential(pot: PotentialSpec, point, dom: GridDomain | None = None) -> float:
     """Potential value at a single point; grid-file potentials require the domain."""
     x, y = float(point[0]), float(point[1])
-    if pot.kind == "zero":
-        return 0.0
-    if pot.kind == "constant":
-        return pot.c
-    if pot.kind == "radial_quadratic":
-        return pot.a * ((x - pot.center[0]) ** 2 + (y - pot.center[1]) ** 2)
-    if pot.kind == "grid_file":
-        if dom is None:
-            raise ValueError("grid-file potentials are defined at grid nodes; pass the domain")
-        ix = (x - dom.origin[0]) / dom.h
-        iy = (y - dom.origin[1]) / dom.h
-        if abs(ix - round(ix)) > 1e-9 or abs(iy - round(iy)) > 1e-9:
-            raise ValueError(f"point {point} is not a grid node")
-        vals = pot.sample_on(dom)
-        k = dom.index[int(round(ix)), int(round(iy))]
-        if k < 0:
-            raise ValueError(f"point {point} is not an interior node")
-        return float(vals[k])
-    raise ValueError(f"unknown potential kind {pot.kind!r}")
+    if pot.kind != "grid_file":
+        return float(pot.formula(x, y))
+    if dom is None:
+        raise ValueError("grid-file potentials are defined at grid nodes; pass the domain")
+    k = np.flatnonzero(np.abs(dom.points - (x, y)).max(axis=1) <= 1e-9 * dom.h)
+    if k.size == 0:
+        raise ValueError(f"point {point} is not an interior grid node")
+    return float(pot.sample_on(dom)[k[0]])

@@ -125,7 +125,8 @@ def chiti_check(omega: np.ndarray, h: float, lam: float, d: int, p: float = 2.0,
     """Sharp and heat-kernel sup-norm bounds for an eigenfunction of eigenvalue lam:
     ||omega||_inf <= C_d(p) lam^{d/2p} ||omega||_p  and
     ||omega||_inf <= (e/(d pi))^{d/4} lam^{d/4} ||omega||_2."""
-    table = table or constants_table(d, p_list=(float(p), 2.0))
+    if table is None or float(p) not in table.chiti_p:
+        table = constants_table(d, p_list=(float(p), 2.0))
     rep = norms(omega, h, p_list=(float(p), 2.0))
     ctx = {"lambda": lam, "d": d, "p": float(p), "sup_norm": rep.sup_norm}
     c_p = table.chiti_p[float(p)]

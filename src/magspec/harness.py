@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import time
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic, bounds, eigfn
-from .domain import Annulus, Disk, GaugeSpec, GridDomain, LShape, MaskFile, PotentialSpec, \
-    Rectangle, build_domain
+from .domain import Annulus, Disk, GaugeSpec, LShape, MaskFile, PotentialSpec, Rectangle, \
+    build_domain
 from .eigensolve import EigenPair, Spectrum, lowest_eigenpairs
 from .errors import InputDataError, NumericalError, TruncationError
 from .operator import assemble
-from .specfun import constants_table
+from .specfun import ConstantsTable, constants_table
 
 __all__ = [
     "parse_shape",
@@ -85,25 +84,16 @@ def parse_potential(d: dict | None) -> PotentialSpec:
     raise InputDataError(f"unknown potential kind {kind!r}")
 
 
-_CHECK_NAMES = {
-    "berezin-li-yau",
-    "li-yau",
-    "riesz-mean-lower",
-    "shifted-sum-upper",
-    "ratio-bounds",
-    "yang",
-    "yang-corollaries",
-    "ground-state-riesz-lower",
-}
-
-
 def validate_config(config: dict) -> None:
     spec_src = config.get("spectrum")
     if not isinstance(spec_src, dict) or spec_src.get("type") not in ("box", "disk", "grid"):
         raise InputDataError("config needs a 'spectrum' block of type box, disk or grid")
     for chk in config.get("checks", []):
-        if chk.get("name") not in _CHECK_NAMES:
+        if chk.get("name") not in bounds.CHECKS:
             raise InputDataError(f"unknown check {chk.get('name')!r}")
+        if chk["name"] == "ground-state-riesz-lower" and spec_src["type"] != "grid":
+            raise InputDataError("ground-state-riesz-lower needs a grid scenario with "
+                                 "computed eigenfunctions")
         for k in chk.get("ks", []):
             if int(k) < 1:
                 raise InputDataError(f"check index k must be >= 1, got {k}")
@@ -119,15 +109,19 @@ def validate_config(config: dict) -> None:
 # ---------------------------------------------------------------------------
 # spectrum construction
 
-def _build_spectrum(config: dict) -> tuple[Spectrum, list[EigenPair], GridDomain | None, float]:
+def _analytic_spectrum(src: dict, count: int) -> Spectrum:
+    if src.get("type") == "box":
+        return analytic.box_spectrum(src["lengths"], count)
+    if src.get("type") == "disk":
+        return analytic.disk_spectrum(float(src["radius"]), count)
+    raise InputDataError(f"unknown reference type {src.get('type')!r}")
+
+
+def _build_spectrum(config: dict) -> tuple[Spectrum, list[EigenPair], float]:
     src = config["spectrum"]
     t0 = time.perf_counter()
-    if src["type"] == "box":
-        spec = analytic.box_spectrum(src["lengths"], int(src["count"]))
-        return spec, [], None, time.perf_counter() - t0
-    if src["type"] == "disk":
-        spec = analytic.disk_spectrum(float(src["radius"]), int(src["count"]))
-        return spec, [], None, time.perf_counter() - t0
+    if src["type"] != "grid":
+        return _analytic_spectrum(src, int(src["count"])), [], time.perf_counter() - t0
     dom = build_domain(parse_shape(src["domain"]), float(src["domain"]["h"]))
     gauge = parse_gauge(src.get("gauge"))
     pot = parse_potential(src.get("potential"))
@@ -135,7 +129,7 @@ def _build_spectrum(config: dict) -> tuple[Spectrum, list[EigenPair], GridDomain
     solver = src.get("solver", {})
     spec, pairs = lowest_eigenpairs(op, int(solver.get("k", 10)),
                                     float(solver.get("tol", 1e-10)))
-    return spec, pairs, dom, time.perf_counter() - t0
+    return spec, pairs, time.perf_counter() - t0
 
 
 def _slack_for(config: dict, spec: Spectrum, scale: float) -> float:
@@ -156,73 +150,32 @@ def _resolve_lambdas(chk: dict, spec: Spectrum) -> list[float]:
     return lams
 
 
-def _run_checks(config: dict, spec: Spectrum, pairs: list[EigenPair]) -> tuple[list, list]:
+def _run_checks(config: dict, spec: Spectrum, pairs: list[EigenPair],
+                table: ConstantsTable) -> tuple[list, list]:
     results = []
     errors = []
-    table = constants_table(spec.d, p_list=(2.0,))
-    measure = spec.measure
-
-    def run(fn, label, **ctx):
-        try:
-            out = fn()
-        except (TruncationError, ValueError, NumericalError) as exc:
-            errors.append({"check": label, "error": type(exc).__name__, "message": str(exc),
-                           **ctx})
-            return
-        results.extend(out if isinstance(out, list) else [out])
-
+    sup = float(np.abs(pairs[0].vector).max()) if pairs else None
     for chk in config.get("checks", []):
         name = chk["name"]
-        if name == "berezin-li-yau":
-            for lam in _resolve_lambdas(chk, spec):
-                scale = 2 / (spec.d + 2) * table.ball_volume * measure * lam ** (1 + spec.d / 2)
-                slack = _slack_for(config, spec, scale)
-                run(lambda lam=lam, s=slack: bounds.check_berezin_li_yau(spec, measure, lam, s),
-                    name, **{"lambda": lam})
-        elif name == "li-yau":
-            for k in chk.get("ks", []):
-                scale = float(spec.values[: int(k)].sum()) if int(k) <= len(spec) else spec.values[-1]
-                slack = _slack_for(config, spec, scale)
-                run(lambda k=k, s=slack: bounds.check_li_yau(spec, measure, int(k), s), name, k=k)
-        elif name == "riesz-mean-lower":
-            for lam in _resolve_lambdas(chk, spec):
-                slack = _slack_for(config, spec, lam ** (1 + spec.d / 2) / spec.values[0] ** (spec.d / 2))
-                run(lambda lam=lam, s=slack: bounds.check_riesz_lower(spec, lam, s, table),
-                    name, **{"lambda": lam})
-        elif name == "shifted-sum-upper":
-            for k in chk.get("ks", []):
-                slack = _slack_for(config, spec, spec.values[0] * int(k) ** (1 + 2 / spec.d))
-                run(lambda k=k, s=slack: bounds.check_shifted_sum_upper(spec, int(k), s, table),
-                    name, k=k)
-        elif name == "ratio-bounds":
-            for k in chk.get("ks", []):
-                slack = _slack_for(config, spec, spec.values[min(int(k), len(spec) - 1)])
-                run(lambda k=k, s=slack: bounds.check_ratio_bounds(spec, int(k), s, table),
-                    name, k=k)
-        elif name == "yang":
-            for k in chk.get("ks", []):
-                scale = float(spec.values[min(int(k), len(spec) - 1)]) ** 2 * int(k)
-                slack = _slack_for(config, spec, scale)
-                run(lambda k=k, s=slack: bounds.check_yang(spec, int(k), s), name, k=k)
-        elif name == "yang-corollaries":
-            for k in chk.get("ks", []):
-                slack = _slack_for(config, spec, spec.values[min(int(k), len(spec) - 1)])
-                run(lambda k=k, s=slack: bounds.check_yang_corollaries(spec, int(k), s), name, k=k)
-        elif name == "ground-state-riesz-lower":
-            if not pairs:
-                errors.append({"check": name, "error": "InputDataError",
-                               "message": "needs a grid scenario with computed eigenfunctions"})
+        param, scale, run = bounds.CHECKS[name]
+        if param == "ks":
+            params = [("k", k) for k in chk.get("ks", [])]
+        else:
+            params = [("lambda", lam) for lam in _resolve_lambdas(chk, spec)]
+        for key, x in params:
+            slack = _slack_for(config, spec, scale(spec, x, table=table, sup=sup))
+            try:
+                out = run(spec, x, slack, table=table, sup=sup)
+            except (TruncationError, ValueError, NumericalError) as exc:
+                errors.append({"check": name, "error": type(exc).__name__, "message": str(exc),
+                               key: x})
                 continue
-            h = float(config["spectrum"]["domain"]["h"])
-            sup = float(np.abs(pairs[0].vector).max())
-            for lam in _resolve_lambdas(chk, spec):
-                slack = _slack_for(config, spec, lam ** (1 + spec.d / 2) / sup**2)
-                run(lambda lam=lam, s=slack: bounds.check_sup_norm_riesz_lower(spec, sup, lam, s),
-                    name, **{"lambda": lam})
+            results.extend(out if isinstance(out, list) else [out])
     return results, errors
 
 
-def _run_eigenfunction(config: dict, spec: Spectrum, pairs: list[EigenPair]) -> tuple[dict, list]:
+def _run_eigenfunction(config: dict, spec: Spectrum, pairs: list[EigenPair],
+                       table: ConstantsTable) -> tuple[dict, list]:
     cfg = config.get("eigenfunction")
     out: dict = {}
     checks = []
@@ -237,7 +190,8 @@ def _run_eigenfunction(config: dict, spec: Spectrum, pairs: list[EigenPair]) -> 
                     "l2_normalized": rep.l2_normalized}
     out["ground_state_degenerate"] = bool(spec.degeneracy_flags[0]) if len(spec) else False
     if cfg.get("chiti", True):
-        checks.extend(eigfn.chiti_check(omega, h, lam, spec.d, p=float(cfg.get("p", 2.0))))
+        checks.extend(eigfn.chiti_check(omega, h, lam, spec.d, p=float(cfg.get("p", 2.0)),
+                                        table=table))
     if cfg.get("comparison", True):
         verdict = eigfn.comparison_check(omega, h, lam, spec.d, spec.measure,
                                          tol=float(cfg.get("tol", 0.02)))
@@ -277,15 +231,15 @@ def run_scenario(config: dict) -> dict:
     and return a JSON-ready report."""
     validate_config(config)
     t_start = time.perf_counter()
-    spec, pairs, dom, t_solve = _build_spectrum(config)
-    check_results, errors = _run_checks(config, spec, pairs)
-    eig_out, eig_checks = _run_eigenfunction(config, spec, pairs)
+    spec, pairs, t_solve = _build_spectrum(config)
+    table = constants_table(spec.d, p_list=(1.0, 2.0))
+    check_results, errors = _run_checks(config, spec, pairs, table)
+    eig_out, eig_checks = _run_eigenfunction(config, spec, pairs, table)
     check_results = check_results + eig_checks
 
     hard = [c for c in check_results if c.applicable and not c.diagnostic]
     overall = all(c.passed for c in hard)
-    table = constants_table(spec.d, p_list=(1.0, 2.0))
-    report = {
+    return {
         "config": _jsonable(config),
         "constants": _jsonable(table),
         "notes": [_COMPACT_RESOLVENT_NOTE] if spec.source != "analytic" else [],
@@ -306,7 +260,6 @@ def run_scenario(config: dict) -> dict:
             "total_seconds": time.perf_counter() - t_start,
         },
     }
-    return report
 
 
 def convergence_study(config: dict, levels: int) -> dict:
@@ -326,12 +279,9 @@ def convergence_study(config: dict, levels: int) -> dict:
     failures = []
     t0 = time.perf_counter()
     for level in range(levels):
-        cfg = json.loads(json.dumps(config))
-        cfg["spectrum"]["domain"]["h"] = h0 / 2**level
-        cfg["checks"] = []
-        cfg.pop("eigenfunction", None)
+        cfg = {"spectrum": {**src, "domain": {**src["domain"], "h": h0 / 2**level}}}
         try:
-            spec, _, _, _ = _build_spectrum(cfg)
+            spec, _, _ = _build_spectrum(cfg)
             level_values.append(spec.values[:k])
         except (NumericalError, ValueError) as exc:
             failures.append({"level": level, "h": h0 / 2**level,
@@ -346,26 +296,16 @@ def convergence_study(config: dict, levels: int) -> dict:
     }
 
     ref = config.get("reference")
-    orders = []
     if ref and len(level_values) >= 2:
-        if ref.get("type") == "box":
-            exact = analytic.box_spectrum(ref["lengths"], max(4 * k, 50)).values[:k]
-        elif ref.get("type") == "disk":
-            exact = analytic.disk_spectrum(float(ref["radius"]), max(4 * k, 50)).values[:k]
-        else:
-            raise InputDataError(f"unknown reference type {ref.get('type')!r}")
+        exact = _analytic_spectrum(ref, max(4 * k, 50)).values[:k]
         report["reference_values"] = _jsonable(exact)
-        for i in range(len(level_values) - 1):
-            e0 = np.abs(level_values[i] - exact)
-            e1 = np.abs(level_values[i + 1] - exact)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                orders.append(np.log2(e0 / e1))
-    elif len(level_values) >= 3:
-        for i in range(len(level_values) - 2):
-            d0 = np.abs(level_values[i] - level_values[i + 1])
-            d1 = np.abs(level_values[i + 1] - level_values[i + 2])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                orders.append(np.log2(d0 / d1))
+        # errors against the reference
+        errors = [np.abs(v - exact) for v in level_values]
+    else:
+        # differences of successive levels
+        errors = [np.abs(a - b) for a, b in zip(level_values, level_values[1:])]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        orders = [np.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
     report["observed_orders"] = [_jsonable(o) for o in orders]
 
     if len(level_values) >= 2:

@@ -143,27 +143,6 @@ class ConstantsTable:
     heat_kernel: float
     chiti_p: dict[float, float] = field(default_factory=dict)
 
-    # spec-facing aliases
-    @property
-    def v_d(self) -> float:
-        return self.ball_volume
-
-    @property
-    def H_d(self) -> float:
-        return self.ratio_constant
-
-    @property
-    def C_d_closed(self) -> float:
-        return self.chiti_closed
-
-    @property
-    def C_d_p(self) -> dict[float, float]:
-        return self.chiti_p
-
-    @property
-    def tilde_C_d(self) -> float:
-        return self.heat_kernel
-
 
 def _chiti_quadrature(d: int, p: float) -> float:
     """C_d(p) by adaptive quadrature of the radial Bessel integral."""

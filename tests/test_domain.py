@@ -143,6 +143,16 @@ class TestPotentials:
         # node (0.25, 0.5) is column 1, row 2
         assert ms.sample_potential(pot, (0.25, 0.5), dom) == arr[2, 1]
 
+    def test_grid_file_point_off_the_interior_grid_rejected(self, tmp_path):
+        dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 0.25)
+        p = tmp_path / "pot.csv"
+        np.savetxt(p, np.ones((5, 5)), delimiter=",")
+        pot = ms.PotentialSpec.grid_file(str(p))
+        # between nodes, on the boundary, and beyond the bounding box
+        for point in [(0.3, 0.5), (0.0, 0.5), (5.0, 0.5)]:
+            with pytest.raises(ValueError):
+                ms.sample_potential(pot, point, dom)
+
     def test_grid_file_negative_rejected(self, tmp_path):
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 0.25)
         p = tmp_path / "pot.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import magspec as ms
-from magspec import cli, harness
+from magspec import bounds, cli, harness
 
 
 def box_config(**extra):
@@ -122,6 +122,47 @@ class TestRunScenario:
         report = harness.run_scenario(grid_config())
         json.dumps(report)
 
+    def test_slack_scales_pinned(self):
+        # every configured check on one grid scenario; each slack must be
+        # discrete_slack(h, scale) with the scale written out here
+        h = 1 / 16
+        cfg = grid_config(h=h, checks=[
+            {"name": "berezin-li-yau", "lambdas": [60.0]},
+            {"name": "li-yau", "ks": [1, 4]},
+            {"name": "riesz-mean-lower", "lambdas": [60.0]},
+            {"name": "shifted-sum-upper", "ks": [3]},
+            {"name": "ratio-bounds", "ks": [2]},
+            {"name": "yang", "ks": [3]},
+            {"name": "yang-corollaries", "ks": [3]},
+            {"name": "ground-state-riesz-lower", "lambdas": [60.0]},
+        ])
+        report = harness.run_scenario(cfg)
+        assert not report["check_errors"]
+        vals = np.asarray(report["spectrum"]["values"])
+        d, measure = report["spectrum"]["d"], report["spectrum"]["measure"]
+        v_d = report["constants"]["ball_volume"]
+        top = lambda c: vals[c["k"]]  # lambda_(k+1)
+        scales = {
+            "berezin-li-yau": lambda c: 2 / (d + 2) * v_d * measure * c["lambda"] ** (1 + d / 2),
+            "li-yau": lambda c: float(vals[: c["k"]].sum()),
+            "riesz-mean-lower": lambda c: c["lambda"] ** (1 + d / 2) / vals[0] ** (d / 2),
+            "shifted-sum-upper": lambda c: vals[0] * c["k"] ** (1 + 2 / d),
+            "ratio-direct": top,
+            "ratio-via-sum": top,
+            "ratio-ppw": top,
+            "yang": lambda c: float(vals[c["k"]]) ** 2 * c["k"],
+            "yang-second": top,
+            "hile-protter": top,
+            "ppw-gap": top,
+            "ground-state-riesz-lower":
+                lambda c: c["lambda"] ** (1 + d / 2) / c["sup_norm"] ** 2,
+        }
+        assert {c["name"] for c in report["checks"]} == set(scales)
+        assert len(report["checks"]) == 13
+        for chk in report["checks"]:
+            scale = scales[chk["name"]](chk["context"])
+            assert chk["slack"] == bounds.discrete_slack(h, scale), chk["name"]
+
 
 class TestConvergenceStudy:
     def test_square_orders_near_two(self):
@@ -195,6 +236,26 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli.main(["verify", "--config", str(bad)]) == 2
+
+    def test_ratio_bounds_beyond_float_range(self, tmp_path, capsys):
+        # (1 + 4/d)^k overflows a float at k = 1000, d = 2
+        cfg = {"spectrum": {"type": "disk", "radius": 1.0, "count": 2000},
+               "checks": [{"name": "ratio-bounds", "ks": [1000]}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_path = tmp_path / "report.json"
+        assert cli.main(["verify", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+        checks = json.loads(out_path.read_text())["checks"]
+        assert [c["name"] for c in checks] == ["ratio-direct", "ratio-via-sum", "ratio-ppw"]
+        assert all(c["applicable"] and c["passed"] for c in checks[:2])
+        assert not checks[2]["applicable"] and "note" in checks[2]["context"]
+
+    def test_ground_state_check_on_analytic_spectrum_exit_two(self, tmp_path, capsys):
+        cfg = {"spectrum": {"type": "box", "lengths": [1.0, 1.0], "count": 50},
+               "checks": [{"name": "ground-state-riesz-lower", "lambdas": [100.0]}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["verify", "--config", str(cfg_path)]) == 2
 
     def test_violation_exit_code(self):
         # true inequalities never fail, so exercise the code path directly
