@@ -1,11 +1,11 @@
 """Lowest eigenpairs of the discrete operator, deterministically.
 
-Small problems (n <= 2000) go through a dense Hermitian solver, which also
-serves as the cross-check oracle.  Larger problems use Lanczos iteration in
-inverse mode: the operator is positive definite, so its sparse factorization
-turns the smallest eigenvalues into the dominant ones and convergence is
-fast and grid-size robust.  The start vector is fixed, so repeated solves
-give identical output.
+Every grid goes through Lanczos iteration in inverse mode: the operator is
+positive definite, so its sparse factorization turns the smallest
+eigenvalues into the dominant ones and convergence is fast and grid-size
+robust.  Lanczos can skip a copy of a degenerate eigenvalue, so an inertia
+count (Sylvester's law) certifies that none below the k-th was missed.  The
+start vector is fixed, so repeated solves give identical output.
 """
 
 from __future__ import annotations
@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
 from .operator import MagneticOperator
 
-__all__ = ["EigenPair", "Spectrum", "lowest_eigenpairs", "DENSE_CUTOFF"]
-
-#: Problems up to this size are solved densely.
-DENSE_CUTOFF = 2000
+__all__ = ["EigenPair", "Spectrum", "lowest_eigenpairs"]
 
 #: Relative gap below which consecutive eigenvalues are flagged degenerate.
 DEGENERACY_RTOL = 1e-6
@@ -79,14 +77,32 @@ def _solve_dense(op: MagneticOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[:k], vecs[:, :k]
 
 
+def _factor(a: sp.spmatrix):
+    """LU of a Hermitian matrix with a symmetric ordering and diagonal pivots,
+    so that U's diagonal is the D of an LDL^H factorization."""
+    lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                   options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericalError("sparse factorization pivoted off the diagonal")
+    return lu
+
+
+def _count_below(op: MagneticOperator, sigma: float) -> int:
+    """Number of eigenvalues below sigma, by Sylvester's law of inertia."""
+    lu = _factor(op.matrix - sigma * sp.identity(op.n, format="csr"))
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
 def _solve_sparse(op: MagneticOperator, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     maxiter = 50 * k
+    lu = _factor(op.matrix)
     try:
         vals, vecs = spla.eigsh(
             op.matrix,
             k=k,
             sigma=0.0,
             which="LM",
+            OPinv=spla.LinearOperator(op.matrix.shape, matvec=lu.solve, dtype=op.matrix.dtype),
             v0=_start_vector(op.n),
             tol=tol,
             maxiter=maxiter,
@@ -109,10 +125,22 @@ def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError(f"tolerance must lie in [1e-12, 1e-4], got {tol}")
 
-    if op.n <= DENSE_CUTOFF:
-        vals, vecs = _solve_dense(op, k)
+    # widen m until the inertia count below the k-th cluster agrees; ARPACK needs m < n - 1
+    m = k
+    while m < op.n - 1:
+        vals, vecs = _solve_sparse(op, m, tol)
+        sigma = vals[k - 1] * (1 - DEGENERACY_RTOL)
+        found = int(np.count_nonzero(vals < sigma))
+        inertia = _count_below(op, sigma)
+        if inertia == found:
+            break
+        if inertia < found:
+            raise NumericalError(f"{found} computed eigenvalues below {sigma:.12g} "
+                                 f"but the inertia count is {inertia}")
+        m *= 2
     else:
-        vals, vecs = _solve_sparse(op, k, tol)
+        vals, vecs = _solve_dense(op, k)
+    vals, vecs = vals[:k], vecs[:, :k]
 
     pairs = []
     for j in range(k):

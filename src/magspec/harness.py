@@ -207,12 +207,12 @@ def _run_eigenfunction(config: dict, spec: Spectrum, pairs: list[EigenPair],
 # report plumbing
 
 def _jsonable(obj):
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

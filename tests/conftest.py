@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import magspec as ms
+from magspec import eigensolve
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +18,7 @@ def disk_unit_spectrum():
 
 @pytest.fixture(scope="session")
 def small_square_op():
-    """Non-magnetic unit square at h=1/16 (dense-solver territory)."""
+    """Non-magnetic unit square at h=1/16 (n = 225, with a double eigenvalue)."""
     dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16)
     return dom, ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
 
@@ -36,6 +37,17 @@ def square_ground_state_h64():
     op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
     spec, pairs = ms.lowest_eigenpairs(op, 1)
     return dom, spec, pairs[0]
+
+
+@pytest.fixture
+def duplicating_solver(monkeypatch):
+    """Replace the Lanczos solve by one that returns lambda_1 twice, a ghost
+    pair that no residual gate can catch."""
+    def duplicate(op, m, tol):
+        vals, vecs = eigensolve._solve_dense(op, m)
+        keep = [0] + list(range(m - 1))
+        return vals[keep], vecs[:, keep]
+    monkeypatch.setattr(eigensolve, "_solve_sparse", duplicate)
 
 
 def rng(seed=0):

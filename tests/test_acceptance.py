@@ -158,7 +158,7 @@ def test_criterion_5_discretization_convergence():
     orders = np.asarray(report["observed_orders"])  # shape (2, 10)
     ok = orders.shape == (2, 10) and bool(np.all(np.abs(orders - 2.0) <= 0.2))
 
-    # dual-route solver agreement below the dense cutoff
+    # dual-route solver agreement: the dense oracle against the Lanczos solve
     dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 40)
     op = ms.assemble(dom, ms.GaugeSpec.uniform(3.0), ms.PotentialSpec.zero())
     from magspec.eigensolve import _solve_dense, _solve_sparse

@@ -70,13 +70,58 @@ class TestLowestEigenpairs:
             ms.lowest_eigenpairs(op, 2, tol=1e-2)
 
     def test_dense_and_sparse_paths_agree(self):
-        # n = 1521 <= 2000: run both code paths explicitly on one operator
+        # n = 1521: the dense oracle against the Lanczos solve on one operator
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 40)
         op = ms.assemble(dom, ms.GaugeSpec.uniform(2.0), ms.PotentialSpec.zero())
         k = 6
         dense_vals, _ = eigensolve._solve_dense(op, k)
         sparse_vals, _ = eigensolve._solve_sparse(op, k, tol=1e-12)
         assert np.max(np.abs(dense_vals - sparse_vals) / dense_vals) < 1e-8
+
+
+def exact_square_spectrum(h, k):
+    """k lowest eigenvalues of the five-point Dirichlet Laplacian on the unit square."""
+    s = np.sin(np.arange(1, round(1 / h)) * np.pi * h / 2.0) ** 2
+    return np.sort((4.0 / h**2) * (s[:, None] + s[None, :]), axis=None)[:k]
+
+
+class TestCompleteness:
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_double_eigenvalue_kept_on_fine_square(self, k):
+        # lambda_2 = lambda_3; a single Lanczos solve returns only one copy here
+        h = 1 / 64
+        dom = ms.build_domain(ms.Rectangle(1.0, 1.0), h)
+        op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+        spec, _ = ms.lowest_eigenpairs(op, k)
+        assert spec.values == pytest.approx(exact_square_spectrum(h, k), rel=1e-8)
+
+    def test_skipped_copy_widens_the_solve(self, small_square_op, monkeypatch):
+        _, op = small_square_op
+        requests = []
+
+        def drop_copy(op, m, tol):
+            # the first solve leaves out lambda_3 = lambda_2
+            requests.append(m)
+            vals, vecs = eigensolve._solve_dense(op, m + 1)
+            keep = [0, 1] + list(range(3, m + 1)) if len(requests) == 1 else list(range(m))
+            return vals[keep], vecs[:, keep]
+
+        monkeypatch.setattr(eigensolve, "_solve_sparse", drop_copy)
+        spec, _ = ms.lowest_eigenpairs(op, 3)
+        assert requests == [3, 6]
+        assert spec.values == pytest.approx(exact_square_spectrum(1 / 16, 3), rel=1e-10)
+
+    def test_duplicated_value_raises(self, small_square_op, duplicating_solver):
+        _, op = small_square_op
+        with pytest.raises(ms.NumericalError):
+            ms.lowest_eigenpairs(op, 3)
+
+    def test_inertia_count_matches_exact_spectrum(self, small_square_op):
+        _, op = small_square_op
+        exact = exact_square_spectrum(1 / 16, 20)
+        for j in (0, 1, 3, 10, 19):
+            below = eigensolve._count_below(op, exact[j] * (1 - 1e-6))
+            assert below == np.searchsorted(exact, exact[j])
 
 
 class TestSpectrumType:

@@ -257,6 +257,34 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["verify", "--config", str(cfg_path)]) == 2
 
+    def test_report_booleans_are_json_booleans(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(box_config()))
+        out_path = tmp_path / "report.json"
+        assert cli.main(["verify", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+        report = json.loads(out_path.read_text())
+        assert report["checks"][0]["passed"] is True
+
+    def test_double_eigenvalue_reported_twice(self, tmp_path, capsys):
+        # lambda_3 = lambda_2 on the B = 0 square; a skipped copy would shift
+        # every value from the third on without failing any check
+        cfg = {"spectrum": {"type": "grid",
+                            "domain": {"shape": "rectangle", "a": 1, "b": 1, "h": 0.015625},
+                            "gauge": {"kind": "none"}, "potential": {"kind": "zero"},
+                            "solver": {"k": 4, "tol": 1e-10}},
+               "checks": [{"name": "li-yau", "ks": [3, 4]}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_path = tmp_path / "report.json"
+        assert cli.main(["verify", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+        values = json.loads(out_path.read_text())["spectrum"]["values"]
+        assert values[2] == pytest.approx(values[1], rel=1e-10)
+
+    def test_ghost_eigenvalue_exit_three(self, tmp_path, capsys, duplicating_solver):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(grid_config()))
+        assert cli.main(["verify", "--config", str(cfg_path)]) == 3
+
     def test_violation_exit_code(self):
         # true inequalities never fail, so exercise the code path directly
         assert cli._report_exit_code({"overall_pass": False, "check_errors": []}) == 1
