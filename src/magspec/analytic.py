@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .eigensolve import Spectrum
 from .errors import InputDataError, NumericalError
-from .specfun import bessel_zero, unit_ball_volume
+from .specfun import bessel_zeros, unit_ball_volume
 
 __all__ = ["box_spectrum", "disk_spectrum", "weyl_eigenvalue"]
 
@@ -64,19 +63,11 @@ def disk_spectrum(R: float, count: int) -> Spectrum:
     X = 2.0 * math.sqrt(count) + 10.0
     while True:
         vals = []
-        for n in itertools.count():
-            if bessel_zero(n, 1) > X:
-                break
-            mult = 1 if n == 0 else 2
-            for m in itertools.count(1):
-                z = bessel_zero(n, m)
-                if z > X:
-                    break
-                vals.extend([(z / R) ** 2] * mult)
-        if len(vals) >= count:
-            vals.sort()
-            return Spectrum(d=2, values=np.asarray(vals[:count]), source="analytic",
-                            measure=math.pi * R**2)
+        for n in range(int(X) + 1):  # j_{n,1} > n: no higher order has a zero below X
+            vals.append(np.repeat((bessel_zeros(n, X) / R) ** 2, 1 if n == 0 else 2))
+        vals = np.sort(np.concatenate(vals))
+        if vals.size >= count:
+            return Spectrum(d=2, values=vals[:count], source="analytic", measure=math.pi * R**2)
         X *= 1.2
 
 

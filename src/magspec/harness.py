@@ -44,18 +44,26 @@ _COMPACT_RESOLVENT_NOTE = (
 # ---------------------------------------------------------------------------
 # config parsing
 
+def _required(block: dict, where: str, *keys: str) -> list:
+    """The values of ``keys`` in a config block, or an InputDataError naming a missing one."""
+    for key in keys:
+        if key not in block:
+            raise InputDataError(f"{where} needs the key {key!r}")
+    return [block[key] for key in keys]
+
+
 def parse_shape(d: dict):
     kind = d.get("shape")
     if kind == "rectangle":
-        return Rectangle(float(d["a"]), float(d["b"]))
+        return Rectangle(*map(float, _required(d, kind, "a", "b")))
     if kind == "disk":
-        return Disk(float(d["radius"]))
+        return Disk(*map(float, _required(d, kind, "radius")))
     if kind == "lshape":
-        return LShape(float(d["a"]), float(d["b"]), float(d["cut"]))
+        return LShape(*map(float, _required(d, kind, "a", "b", "cut")))
     if kind == "annulus":
-        return Annulus(float(d["r_inner"]), float(d["r_outer"]))
+        return Annulus(*map(float, _required(d, kind, "r_inner", "r_outer")))
     if kind == "mask_file":
-        return MaskFile(str(d["path"]))
+        return MaskFile(*map(str, _required(d, kind, "path")))
     raise InputDataError(f"unknown shape kind {kind!r}")
 
 
@@ -64,7 +72,7 @@ def parse_gauge(d: dict | None) -> GaugeSpec:
         return GaugeSpec.none()
     kind = d["kind"]
     if kind == "uniform":
-        return GaugeSpec.uniform(float(d["B"]))
+        return GaugeSpec.uniform(*map(float, _required(d, "uniform gauge", "B")))
     if kind == "linear_gauge_shift":
         c = d.get("chi_coeffs", (0.0, 0.0, 0.0))
         return GaugeSpec.linear_gauge_shift(*[float(x) for x in c], B=float(d.get("B", 0.0)))
@@ -76,11 +84,12 @@ def parse_potential(d: dict | None) -> PotentialSpec:
         return PotentialSpec.zero()
     kind = d["kind"]
     if kind == "constant":
-        return PotentialSpec.constant(float(d["c"]))
+        return PotentialSpec.constant(*map(float, _required(d, kind, "c")))
     if kind == "radial_quadratic":
-        return PotentialSpec.radial_quadratic(float(d["a"]), d.get("center", (0.0, 0.0)))
+        (a,) = _required(d, kind, "a")
+        return PotentialSpec.radial_quadratic(float(a), d.get("center", (0.0, 0.0)))
     if kind == "grid_file":
-        return PotentialSpec.grid_file(str(d["path"]))
+        return PotentialSpec.grid_file(*map(str, _required(d, kind, "path")))
     raise InputDataError(f"unknown potential kind {kind!r}")
 
 
@@ -100,10 +109,15 @@ def validate_config(config: dict) -> None:
         for lam in chk.get("lambdas", []):
             if float(lam) < 0:
                 raise InputDataError(f"spectral parameter must be >= 0, got {lam}")
-    if spec_src["type"] == "grid":
+    kind = spec_src["type"]
+    if kind == "grid":
+        (domain,) = _required(spec_src, "grid spectrum", "domain")
+        _required(domain, "grid domain", "h")
         solver = spec_src.get("solver", {})
         if int(solver.get("k", 1)) < 1:
             raise InputDataError("solver k must be >= 1")
+    else:
+        _required(spec_src, f"{kind} spectrum", "count", "lengths" if kind == "box" else "radius")
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +125,9 @@ def validate_config(config: dict) -> None:
 
 def _analytic_spectrum(src: dict, count: int) -> Spectrum:
     if src.get("type") == "box":
-        return analytic.box_spectrum(src["lengths"], count)
+        return analytic.box_spectrum(*_required(src, "box", "lengths"), count)
     if src.get("type") == "disk":
-        return analytic.disk_spectrum(float(src["radius"]), count)
+        return analytic.disk_spectrum(*map(float, _required(src, "disk", "radius")), count)
     raise InputDataError(f"unknown reference type {src.get('type')!r}")
 
 
@@ -214,7 +228,7 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
+        return obj.tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
@@ -283,6 +297,8 @@ def convergence_study(config: dict, levels: int) -> dict:
         try:
             spec, _, _ = _build_spectrum(cfg)
             level_values.append(spec.values[:k])
+        except InputDataError:  # a malformed config, not a failure of this level
+            raise
         except (NumericalError, ValueError) as exc:
             failures.append({"level": level, "h": h0 / 2**level,
                              "error": type(exc).__name__, "message": str(exc)})

@@ -1,8 +1,9 @@
 """Bessel functions, their positive zeros, and the explicit spectral constants.
 
 All constants are expressed through the Bessel function of order
-``nu = (d-2)/2`` and its first positive zero.  Supported orders are the
-non-negative integers and half-integers up to :data:`MAX_ORDER`.
+``nu = (d-2)/2`` and its first positive zero.  The zeros of one order below a
+bound come from one sign scan refined by vectorized Newton steps; nothing is
+cached.  Supported orders are the integers and half-integers in [0, MAX_ORDER].
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "ConstantsTable",
     "bessel_j",
     "bessel_zero",
+    "bessel_zeros",
     "unit_ball_volume",
     "sphere_area",
     "constants_table",
@@ -36,6 +38,7 @@ MAX_DIM = 10
 
 _SCAN_STEP = 0.5
 _ZERO_XTOL = 1e-14
+_MAX_NEWTON = 20
 
 
 def _check_order(order: float) -> float:
@@ -67,14 +70,25 @@ def bessel_j(order: float, x):
     return out
 
 
-def _bessel_j_prime(order: float, x: float) -> float:
-    if order == 0:
-        return -special.jv(1, x)
-    return 0.5 * (special.jv(order - 1, x) - special.jv(order + 1, x))
-
-
-# zeros found so far, per order; extended on demand
-_zeros_cache: dict[float, list[float]] = {}
+def bessel_zeros(order: float, x_max: float) -> np.ndarray:
+    """Every positive zero of J_order up to x_max, ascending, accurate to better than 1e-10."""
+    order = _check_order(order)
+    # Zeros of J_nu exceed nu and lie more than 2 apart, so each cell of a
+    # 0.5-step grid from nu brackets at most one zero.
+    grid = np.arange(max(order, 1e-8), x_max + _SCAN_STEP, _SCAN_STEP)
+    vals = special.jv(order, grid)
+    cell = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    lo, hi, f_lo, f_hi = grid[cell], grid[cell + 1], vals[cell], vals[cell + 1]
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)  # regula falsi
+    for _ in range(_MAX_NEWTON):
+        f = special.jv(order, x)
+        step = f / (special.jv(order - 1, x) - order * f / x)
+        x = x - step
+        if np.any((x < lo) | (x > hi)):
+            raise NumericalError(f"Newton iteration for the zeros of J_{order} left its bracket")
+        if np.all(np.abs(step) <= _ZERO_XTOL * x):
+            return x[x <= x_max]
+    raise NumericalError(f"Newton iteration for the zeros of J_{order} did not converge")
 
 
 def bessel_zero(order: float, m: int) -> float:
@@ -83,38 +97,10 @@ def bessel_zero(order: float, m: int) -> float:
     m = int(m)
     if m < 1:
         raise ValueError(f"zero index must be >= 1, got {m}")
-    zeros = _zeros_cache.setdefault(order, [])
-    while len(zeros) < m:
-        _extend_zeros(order, zeros, m)
-    return zeros[m - 1]
-
-
-def _extend_zeros(order: float, zeros: list[float], m: int) -> None:
-    # Zeros of J_nu exceed nu and are asymptotically pi-spaced, so a 0.5-step
-    # sign scan cannot skip one.
-    start = zeros[-1] if zeros else max(order, 1e-8)
-    needed = m - len(zeros)
-    span = _SCAN_STEP * max(8, int(math.pi / _SCAN_STEP * (needed + 4)))
-    grid = np.arange(start, start + span + _SCAN_STEP, _SCAN_STEP)
-    vals = special.jv(order, grid)
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if sign_change.size == 0:
-        raise NumericalError(
-            f"no sign change of J_{order} found on [{grid[0]:.3g}, {grid[-1]:.3g}]"
-        )
-    from scipy.optimize import brentq
-
-    for i in sign_change:
-        root = brentq(lambda x: special.jv(order, x), grid[i], grid[i + 1], xtol=_ZERO_XTOL)
-        # two Newton polish steps
-        for _ in range(2):
-            d = _bessel_j_prime(order, root)
-            if d != 0.0:
-                root -= special.jv(order, root) / d
-        if not zeros or root > zeros[-1] + 1e-9:
-            zeros.append(float(root))
-        if len(zeros) >= m:
-            return
+    x_max = order + math.pi * m
+    while (zeros := bessel_zeros(order, x_max)).size < m:
+        x_max *= 2
+    return float(zeros[m - 1])
 
 
 def unit_ball_volume(d: int) -> float:

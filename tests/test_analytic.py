@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 import magspec as ms
 
@@ -62,6 +63,15 @@ class TestDiskSpectrum:
 
     def test_measure_attached(self, disk_unit_spectrum):
         assert disk_unit_spectrum.measure == pytest.approx(np.pi, rel=1e-12)
+
+    def test_matches_scipy_bessel_zeros(self):
+        # every j_{n,m} <= 100: orders n < 100 since j_{n,1} > n, and j_{n,35} > 100
+        zeros = [special.jn_zeros(n, 35) for n in range(100)]
+        assert min(z[-1] for z in zeros) > 100
+        exact = np.sort(np.concatenate([np.repeat(z[z <= 100] ** 2, 1 if n == 0 else 2)
+                                        for n, z in enumerate(zeros)]))
+        assert exact.size >= 2000
+        assert ms.disk_spectrum(1.0, 2000).values == pytest.approx(exact[:2000], rel=1e-12)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ms.InputDataError):

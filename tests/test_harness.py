@@ -185,6 +185,9 @@ class TestConvergenceStudy:
             harness.convergence_study(box_config(), levels=3)
         with pytest.raises(ms.InputDataError):
             harness.convergence_study(grid_config(), levels=1)
+        with pytest.raises(ms.InputDataError, match="'lengths'"):
+            harness.convergence_study(grid_config(h=1 / 8, k=2, reference={"type": "box"}),
+                                      levels=2)
 
 
 class TestReportFiles:
@@ -236,6 +239,24 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli.main(["verify", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "convergence"])
+    @pytest.mark.parametrize("config,message", [
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "domain": {"shape": "rectangle", "a": 1.0, "h": 0.125}}), "'b'"),
+        ({"spectrum": {"type": "box", "count": 10}}, "'lengths'"),
+        ({"spectrum": {"type": "disk", "count": 10}}, "'radius'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "domain": {"shape": "rectangle", "a": 1.0, "b": 1.0}}), "'h'"),
+        (grid_config(spectrum={**grid_config()["spectrum"], "gauge": {"kind": "uniform"}}),
+         "'B'"),
+        ([grid_config()], "JSON object"),
+    ], ids=["rectangle-b", "box-lengths", "disk-radius", "domain-h", "gauge-B", "list"])
+    def test_malformed_config_exit_two(self, tmp_path, capsys, command, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_ratio_bounds_beyond_float_range(self, tmp_path, capsys):
         # (1 + 4/d)^k overflows a float at k = 1000, d = 2

@@ -77,6 +77,26 @@ class TestBesselZero:
         with pytest.raises(ValueError):
             bessel_zero(0, 0)
 
+    def test_zero_beyond_first_search_bound(self):
+        # j_{300,1} ~ 312.6 lies above the first bound tried, order + pi
+        exact = float(mpmath.besseljzero(mpmath.mpf(300), 1))
+        assert bessel_zero(300, 1) == pytest.approx(exact, abs=1e-10)
+
+
+class TestBesselZeros:
+    @pytest.mark.parametrize("order", [0, 0.5, 1, 2.5, 7.5, 50, 150, 300])
+    def test_every_zero_below_bound(self, order):
+        x_max = order + 40.0
+        exact = []
+        while not exact or exact[-1] <= x_max:
+            exact.append(float(mpmath.besseljzero(mpmath.mpf(order), len(exact) + 1)))
+        zeros = specfun.bessel_zeros(order, x_max)
+        assert zeros.size == len(exact) - 1
+        assert zeros == pytest.approx(exact[:-1], abs=1e-10)
+
+    def test_empty_below_first_zero(self):
+        assert specfun.bessel_zeros(10, 5.0).size == 0
+
 
 class TestConstantsTable:
     @pytest.mark.parametrize("d", range(2, 11))
