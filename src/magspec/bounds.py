@@ -40,9 +40,9 @@ ANALYTIC_SLACK_RTOL = 1e-10
 _TINY = 1e-300
 
 
-def discrete_slack(h: float, scale: float, c_tol: float = 10.0) -> float:
+def discrete_slack(h: float, scale: float) -> float:
     """Slack for checks on grid spectra: discretization error is O(h^2)."""
-    return max(1e-8, c_tol * h**2 * abs(scale))
+    return max(1e-8, 10.0 * h**2 * abs(scale))
 
 
 @dataclass(frozen=True)

@@ -42,19 +42,14 @@ def _load_config(path: str) -> dict:
 
 def _cmd_constants(args) -> int:
     table = constants_table(args.dim, p_list=args.p or [1.0, 2.0])
-    out = harness._jsonable(table)
-    text = json.dumps(out, sort_keys=True, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    harness.write_report(harness._jsonable(table), args.out)
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
     config = _load_config(args.config)
-    report = harness.run_scenario({**config, "checks": []})
-    values = report["spectrum"]["values"]
+    harness.validate_config({**config, "checks": []})  # this command runs no checks
+    values = harness._build_spectrum(config)[0].values
     if args.out:
         harness.write_spectrum_csv(values, args.out)
         print(f"wrote {len(values)} eigenvalues to {args.out}")

@@ -93,28 +93,54 @@ def parse_potential(d: dict | None) -> PotentialSpec:
     raise InputDataError(f"unknown potential kind {kind!r}")
 
 
+def _object(block: dict, key: str) -> dict:
+    """The JSON object under ``key`` ({} when absent), or an InputDataError naming the key."""
+    value = block.get(key, {})
+    if not isinstance(value, dict):
+        raise InputDataError(f"{key!r} must be a JSON object, got {value!r}")
+    return value
+
+
+#: Check parameter key -> (accepted element types, smallest accepted value).
+_CHECK_PARAMS = {"ks": (int, 1), "lambda_indices": (int, 1), "lambdas": ((int, float), 0)}
+
+
 def validate_config(config: dict) -> None:
+    """Reject a malformed config before any work, naming the offending key."""
+    if "slack" in config:
+        raise InputDataError("config key 'slack' is not supported: slacks are fixed")
     spec_src = config.get("spectrum")
     if not isinstance(spec_src, dict) or spec_src.get("type") not in ("box", "disk", "grid"):
         raise InputDataError("config needs a 'spectrum' block of type box, disk or grid")
-    for chk in config.get("checks", []):
-        if chk.get("name") not in bounds.CHECKS:
-            raise InputDataError(f"unknown check {chk.get('name')!r}")
-        if chk["name"] == "ground-state-riesz-lower" and spec_src["type"] != "grid":
+    if "tol" in _object(config, "eigenfunction"):
+        raise InputDataError("config key 'eigenfunction.tol' is not supported: slacks are fixed")
+    _object(config, "reference")
+    checks = config.get("checks", [])
+    if not isinstance(checks, list):
+        raise InputDataError(f"'checks' must be a list, got {checks!r}")
+    for chk in checks:
+        if not isinstance(chk, dict):
+            raise InputDataError(f"each entry of 'checks' must be a JSON object, got {chk!r}")
+        name = chk.get("name")
+        if not isinstance(name, str) or name not in bounds.CHECKS:
+            raise InputDataError(f"unknown check {name!r}")
+        if name == "ground-state-riesz-lower" and spec_src["type"] != "grid":
             raise InputDataError("ground-state-riesz-lower needs a grid scenario with "
                                  "computed eigenfunctions")
-        for k in chk.get("ks", []):
-            if int(k) < 1:
-                raise InputDataError(f"check index k must be >= 1, got {k}")
-        for lam in chk.get("lambdas", []):
-            if float(lam) < 0:
-                raise InputDataError(f"spectral parameter must be >= 0, got {lam}")
+        for key, (types, low) in _CHECK_PARAMS.items():
+            values = chk.get(key, [])
+            if not isinstance(values, list) or not all(
+                    isinstance(x, types) and not isinstance(x, bool) and x >= low for x in values):
+                wanted = "integers" if types is int else "numbers"
+                raise InputDataError(f"check {name!r} key {key!r} must be a list of {wanted} "
+                                     f">= {low}, got {values!r}")
     kind = spec_src["type"]
     if kind == "grid":
-        (domain,) = _required(spec_src, "grid spectrum", "domain")
-        _required(domain, "grid domain", "h")
-        solver = spec_src.get("solver", {})
-        if int(solver.get("k", 1)) < 1:
+        _required(spec_src, "grid spectrum", "domain")
+        _required(_object(spec_src, "domain"), "grid domain", "h")
+        _object(spec_src, "gauge")
+        _object(spec_src, "potential")
+        if int(_object(spec_src, "solver").get("k", 1)) < 1:
             raise InputDataError("solver k must be >= 1")
     else:
         _required(spec_src, f"{kind} spectrum", "count", "lengths" if kind == "box" else "radius")
@@ -149,9 +175,7 @@ def _build_spectrum(config: dict) -> tuple[Spectrum, list[EigenPair], float]:
 def _slack_for(config: dict, spec: Spectrum, scale: float) -> float:
     if spec.source == "analytic":
         return bounds.ANALYTIC_SLACK_RTOL * abs(scale)
-    h = float(config["spectrum"]["domain"]["h"])
-    c_tol = float(config.get("slack", {}).get("c_tol", 10.0))
-    return bounds.discrete_slack(h, scale, c_tol)
+    return bounds.discrete_slack(float(config["spectrum"]["domain"]["h"]), scale)
 
 
 def _resolve_lambdas(chk: dict, spec: Spectrum) -> list[float]:
@@ -207,8 +231,7 @@ def _run_eigenfunction(config: dict, spec: Spectrum, pairs: list[EigenPair],
         checks.extend(eigfn.chiti_check(omega, h, lam, spec.d, p=float(cfg.get("p", 2.0)),
                                         table=table))
     if cfg.get("comparison", True):
-        verdict = eigfn.comparison_check(omega, h, lam, spec.d, spec.measure,
-                                         tol=float(cfg.get("tol", 0.02)))
+        verdict = eigfn.comparison_check(omega, h, lam, spec.d, spec.measure)
         checks.extend([verdict.inclusion, verdict.domination])
         out["ball_measure"] = verdict.ball_measure
     if cfg.get("ode", False):
@@ -337,8 +360,13 @@ def strip_timing(report: dict) -> dict:
     return out
 
 
-def write_report(report: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+def write_report(report: dict, path: str | Path | None) -> None:
+    """Write a report as sorted, indented JSON to path, or to stdout when path is None."""
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if path is None:
+        print(text, end="")
+    else:
+        Path(path).write_text(text)
 
 
 def write_spectrum_csv(values, path: str | Path) -> None:

@@ -134,12 +134,11 @@ def _chiti_quadrature(d: int, p: float) -> float:
     """C_d(p) by adaptive quadrature of the radial Bessel integral."""
     nu = (d - 2) / 2.0
     j1 = bessel_zero(nu, 1)
-    gam = math.gamma(nu + 1)
 
     def integrand(r: float) -> float:
-        # (J_nu(r) / r^nu)^p * r^(d-1); the factor has a finite r->0 limit
+        # (J_nu(r) / r^nu)^p * r^(d-1): zero at r = 0, as the factor is finite and d >= 2
         if r == 0.0:
-            return 0.0 if d > 1 else (2.0**-nu / gam) ** p
+            return 0.0
         return (special.jv(nu, r) / r**nu) ** p * r ** (d - 1)
 
     val, err = integrate.quad(integrand, 0.0, j1, epsabs=0.0, epsrel=1e-12, limit=200)

@@ -163,6 +163,25 @@ class TestRunScenario:
             scale = scales[chk["name"]](chk["context"])
             assert chk["slack"] == bounds.discrete_slack(h, scale), chk["name"]
 
+    def test_eigenfunction_slacks_pinned(self):
+        # each eigenfunction entry's slack, written out
+        h = 1 / 32
+        cfg = grid_config(h=h, checks=[],
+                          eigenfunction={"chiti": True, "comparison": True, "ode": True})
+        report = harness.run_scenario(cfg)
+        by_name = {c["name"]: c for c in report["checks"]}
+        lam = report["spectrum"]["values"][0]
+        measure = report["spectrum"]["measure"]
+        ball_measure = report["eigenfunction"]["ball_measure"]
+        assert by_name["chiti-sup-bound"]["slack"] == 0.0
+        assert by_name["heat-kernel-sup-bound"]["slack"] == 0.0
+        assert by_name["ball-inclusion"]["slack"] == 10.0 * h * max(measure, ball_measure) ** 0.5
+        assert by_name["profile-domination"]["slack"] == 0.02 * ms.z_profile(lam, 2, 0.0)
+        ode = by_name["rearrangement-slope"]
+        assert ode["slack"] == 0.0 and ode["rhs"] == 0.05
+        assert ode["context"]["slack_rtol"] == max(1e-6, 40.0 * h)
+        assert ode["context"]["window"] == max(1, ode["context"]["nodes"] // 100)
+
 
 class TestConvergenceStudy:
     def test_square_orders_near_two(self):
@@ -251,12 +270,60 @@ class TestCli:
         (grid_config(spectrum={**grid_config()["spectrum"], "gauge": {"kind": "uniform"}}),
          "'B'"),
         ([grid_config()], "JSON object"),
-    ], ids=["rectangle-b", "box-lengths", "disk-radius", "domain-h", "gauge-B", "list"])
+        (grid_config(spectrum={**grid_config()["spectrum"], "domain": 0.125}), "'domain'"),
+        (grid_config(spectrum={**grid_config()["spectrum"], "gauge": "uniform"}), "'gauge'"),
+        (grid_config(spectrum={**grid_config()["spectrum"], "solver": 3}), "'solver'"),
+        (grid_config(eigenfunction=True), "'eigenfunction'"),
+        (grid_config(slack=1), "'slack'"),
+    ], ids=["rectangle-b", "box-lengths", "disk-radius", "domain-h", "gauge-B", "list",
+            "domain-number", "gauge-string", "solver-number", "eigenfunction-bool", "slack"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, command, config, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         assert cli.main([command, "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "convergence"])
+    @pytest.mark.parametrize("checks,message", [
+        (["li-yau"], "'checks'"),
+        ({"name": "li-yau", "ks": [1]}, "'checks'"),
+        ([{"name": "li-yau", "ks": 5}], "'ks'"),
+        ([{"name": "li-yau", "ks": [1.5]}], "'ks'"),
+        ([{"name": "berezin-li-yau", "lambdas": ["60"]}], "'lambdas'"),
+        ([{"name": "berezin-li-yau", "lambda_indices": [True]}], "'lambda_indices'"),
+        ([{"name": "berezin-li-yau", "lambda_indices": [0]}], "'lambda_indices'"),
+    ], ids=["entry-string", "checks-object", "ks-number", "ks-float", "lambdas-string",
+            "lambda-indices-bool", "lambda-indices-zero"])
+    def test_malformed_checks_exit_two(self, tmp_path, capsys, command, checks, message):
+        # `spectrum` runs no checks, so only these two commands read them
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(grid_config(checks=checks)))
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "convergence"])
+    @pytest.mark.parametrize("extra,message", [
+        ({"slack": {"c_tol": 1e9}}, "'slack'"),
+        ({"eigenfunction": {"comparison": True, "tol": 0.05}}, "'eigenfunction.tol'"),
+    ], ids=["slack", "eigenfunction-tol"])
+    def test_slack_knobs_rejected(self, tmp_path, capsys, command, extra, message):
+        # a key that used to rescale a verdict's slack is refused, not ignored
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(grid_config(**extra)))
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_spectrum_command_builds_only_the_spectrum(self, tmp_path, capsys, monkeypatch):
+        def no_constants(*args, **kwargs):
+            raise AssertionError("spectrum built the constants table")
+
+        monkeypatch.setattr(harness, "constants_table", no_constants)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(grid_config(
+            k=4, eigenfunction={"chiti": True, "comparison": True, "ode": True})))
+        assert cli.main(["spectrum", "--config", str(cfg_path)]) == 0
+        values = [float(x) for x in capsys.readouterr().out.split()]
+        assert len(values) == 4 and values[0] == pytest.approx(2 * np.pi**2, rel=1e-2)
 
     def test_ratio_bounds_beyond_float_range(self, tmp_path, capsys):
         # (1 + 4/d)^k overflows a float at k = 1000, d = 2
