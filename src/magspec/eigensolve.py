@@ -5,7 +5,9 @@ positive definite, so its sparse factorization turns the smallest
 eigenvalues into the dominant ones and convergence is fast and grid-size
 robust.  Lanczos can skip a copy of a degenerate eigenvalue, so an inertia
 count (Sylvester's law) certifies that none below the k-th was missed.  The
-start vector is fixed, so repeated solves give identical output.
+start vector is fixed, so repeated solves give identical output.  The solve
+runs in the matrix's own dtype: real float64 arithmetic when every link phase
+is zero, complex otherwise.
 """
 
 from __future__ import annotations

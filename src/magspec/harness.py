@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -101,6 +102,19 @@ def _object(block: dict, key: str) -> dict:
     return value
 
 
+def _number_list(block: dict, key: str, sizes: range) -> None:
+    """Reject a value under ``key`` that is not a list of finite numbers of a size in ``sizes``."""
+    if key not in block:
+        return
+    value = block[key]
+    if not isinstance(value, list) or len(value) not in sizes or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max
+            for x in value):
+        count = sizes.start if len(sizes) == 1 else f"{sizes.start} to {sizes[-1]}"
+        raise InputDataError(f"{key!r} must be a list of {count} finite numbers, got {value!r}")
+
+
 #: Check parameter key -> (accepted element types, smallest accepted value).
 _CHECK_PARAMS = {"ks": (int, 1), "lambda_indices": (int, 1), "lambdas": ((int, float), 0)}
 
@@ -114,7 +128,8 @@ def validate_config(config: dict) -> None:
         raise InputDataError("config needs a 'spectrum' block of type box, disk or grid")
     if "tol" in _object(config, "eigenfunction"):
         raise InputDataError("config key 'eigenfunction.tol' is not supported: slacks are fixed")
-    _object(config, "reference")
+    if _object(config, "reference").get("type") == "box":
+        _number_list(config["reference"], "lengths", range(2, 6))
     checks = config.get("checks", [])
     if not isinstance(checks, list):
         raise InputDataError(f"'checks' must be a list, got {checks!r}")
@@ -138,12 +153,16 @@ def validate_config(config: dict) -> None:
     if kind == "grid":
         _required(spec_src, "grid spectrum", "domain")
         _required(_object(spec_src, "domain"), "grid domain", "h")
-        _object(spec_src, "gauge")
-        _object(spec_src, "potential")
+        if _object(spec_src, "gauge").get("kind") == "linear_gauge_shift":
+            _number_list(spec_src["gauge"], "chi_coeffs", range(2, 4))
+        if _object(spec_src, "potential").get("kind") == "radial_quadratic":
+            _number_list(spec_src["potential"], "center", range(2, 3))
         if int(_object(spec_src, "solver").get("k", 1)) < 1:
             raise InputDataError("solver k must be >= 1")
     else:
         _required(spec_src, f"{kind} spectrum", "count", "lengths" if kind == "box" else "radius")
+        if kind == "box":
+            _number_list(spec_src, "lengths", range(2, 6))
 
 
 # ---------------------------------------------------------------------------

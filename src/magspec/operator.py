@@ -4,7 +4,9 @@ Five-point stencil with Peierls phases on the links: for interior nodes p, q
 at distance h the coupling is -exp(-i theta_pq)/h^2 with theta_pq the link
 phase of the gauge potential, and the diagonal is 4/h^2 + V(p).  Exterior
 nodes are eliminated (Dirichlet condition), which keeps the operator
-Hermitian and positive definite for V >= 0.
+Hermitian and positive definite for V >= 0.  When every link phase is zero
+(no gauge, or B = 0 without a gauge shift) the matrix is real symmetric
+float64, otherwise complex128; the dtype is the only difference.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ __all__ = ["MagneticOperator", "assemble", "gauge_shift"]
 class MagneticOperator:
     """Hermitian positive-definite sparse operator on the interior nodes."""
 
-    matrix: sp.csr_matrix  # complex, n x n
+    matrix: sp.csr_matrix  # n x n; float64 when every link phase is 0, else complex128
     h: float
     measure: float
 
@@ -37,7 +39,7 @@ class MagneticOperator:
         v = np.asarray(v)
         if v.shape != (self.n,):
             raise ValueError(f"vector of length {v.shape} does not match operator size {self.n}")
-        return self.matrix @ v.astype(complex)
+        return self.matrix @ v
 
     def quadratic_form(self, v: np.ndarray) -> complex:
         v = np.asarray(v, dtype=complex)
@@ -59,7 +61,8 @@ def assemble(dom: GridDomain, gauge: GaugeSpec, pot: PotentialSpec) -> MagneticO
 
     rows = [np.arange(n)]
     cols = [np.arange(n)]
-    data = [(4.0 / h**2 + v).astype(complex)]
+    data = [4.0 / h**2 + v]
+    phased = False
 
     ii, jj = np.nonzero(dom.mask)
     for di, dj in ((1, 0), (0, 1)):
@@ -73,15 +76,17 @@ def assemble(dom: GridDomain, gauge: GaugeSpec, pot: PotentialSpec) -> MagneticO
         my = dom.origin[1] + h * (jj[ok] + 0.5 * dj)
         ax, ay = gauge.vector_potential(mx, my)
         theta = (ax * di + ay * dj) * h
+        phased |= bool(theta.any())
         coupling = -np.exp(-1j * theta) / h**2
         rows.extend([p, q])
         cols.extend([q, p])
         data.extend([coupling, np.conj(coupling)])
 
+    data = np.concatenate(data)
+    # zero phases on every link leave a real symmetric matrix
     mat = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        (data if phased else data.real, (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
-        dtype=complex,
     )
     return MagneticOperator(matrix=mat, h=h, measure=dom.measure)
 

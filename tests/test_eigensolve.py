@@ -69,6 +69,15 @@ class TestLowestEigenpairs:
         with pytest.raises(ValueError):
             ms.lowest_eigenpairs(op, 2, tol=1e-2)
 
+    def test_real_and_complex_arithmetic_agree(self, small_square_op):
+        # a gauge shift makes the B = 0 matrix complex without changing its spectrum
+        _, op = small_square_op
+        shifted = ms.gauge_shift(op, np.random.default_rng(3).uniform(-np.pi, np.pi, op.n))
+        assert op.matrix.dtype == np.float64 and shifted.matrix.dtype == np.complex128
+        real, _ = ms.lowest_eigenpairs(op, 8)
+        cplx, _ = ms.lowest_eigenpairs(shifted, 8)
+        assert np.max(np.abs(cplx.values - real.values) / real.values) < 1e-10
+
     def test_dense_and_sparse_paths_agree(self):
         # n = 1521: the dense oracle against the Lanczos solve on one operator
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 40)
@@ -121,6 +130,15 @@ class TestCompleteness:
         exact = exact_square_spectrum(1 / 16, 20)
         for j in (0, 1, 3, 10, 19):
             below = eigensolve._count_below(op, exact[j] * (1 - 1e-6))
+            assert below == np.searchsorted(exact, exact[j])
+
+    def test_inertia_count_on_complex_matrix(self, small_square_op):
+        _, op = small_square_op
+        shifted = ms.gauge_shift(op, np.random.default_rng(5).uniform(-np.pi, np.pi, op.n))
+        assert shifted.matrix.dtype == np.complex128
+        exact = exact_square_spectrum(1 / 16, 20)
+        for j in (0, 1, 3, 10, 19):
+            below = eigensolve._count_below(shifted, exact[j] * (1 - 1e-6))
             assert below == np.searchsorted(exact, exact[j])
 
 

@@ -275,8 +275,28 @@ class TestCli:
         (grid_config(spectrum={**grid_config()["spectrum"], "solver": 3}), "'solver'"),
         (grid_config(eigenfunction=True), "'eigenfunction'"),
         (grid_config(slack=1), "'slack'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "gauge": {"kind": "linear_gauge_shift", "chi_coeffs": 5}}),
+         "'chi_coeffs'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "gauge": {"kind": "linear_gauge_shift", "chi_coeffs": [0.1]}}),
+         "'chi_coeffs'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "potential": {"kind": "radial_quadratic", "a": 1.0, "center": 5}}),
+         "'center'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "potential": {"kind": "radial_quadratic", "a": 1.0,
+                                             "center": ["0.5", "0.5"]}}), "'center'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "potential": {"kind": "radial_quadratic", "a": 1.0,
+                                             "center": [float("nan"), 0.5]}}), "'center'"),
+        ({"spectrum": {"type": "box", "lengths": 5, "count": 10}}, "'lengths'"),
+        ({"spectrum": {"type": "box", "lengths": [1.0, "1.0"], "count": 10}}, "'lengths'"),
+        (grid_config(reference={"type": "box", "lengths": 5}), "'lengths'"),
     ], ids=["rectangle-b", "box-lengths", "disk-radius", "domain-h", "gauge-B", "list",
-            "domain-number", "gauge-string", "solver-number", "eigenfunction-bool", "slack"])
+            "domain-number", "gauge-string", "solver-number", "eigenfunction-bool", "slack",
+            "chi-number", "chi-short", "center-number", "center-strings", "center-nan",
+            "lengths-number", "lengths-string", "reference-lengths-number"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, command, config, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -367,6 +387,24 @@ class TestCli:
         assert cli.main(["verify", "--config", str(cfg_path), "--out", str(out_path)]) == 0
         values = json.loads(out_path.read_text())["spectrum"]["values"]
         assert values[2] == pytest.approx(values[1], rel=1e-10)
+
+    def test_fine_zero_field_square_meets_residual_gate(self, tmp_path, capsys):
+        # n = 65025; solved in complex arithmetic, eigenpair 11 left a residual
+        # of 1.2e-8, above the gate, though every value was right
+        h, c = 0.00390625, 2.0
+        cfg = {"spectrum": {"type": "grid",
+                            "domain": {"shape": "rectangle", "a": 1, "b": 1, "h": h},
+                            "gauge": {"kind": "none"}, "potential": {"kind": "constant", "c": c},
+                            "solver": {"k": 12, "tol": 1e-10}},
+               "checks": [{"name": "li-yau", "ks": [12]}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_path = tmp_path / "report.json"
+        assert cli.main(["verify", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+        values = json.loads(out_path.read_text())["spectrum"]["values"]
+        s = np.sin(np.arange(1, 256) * np.pi * h / 2) ** 2
+        exact = np.sort((4 / h**2) * (s[:, None] + s[None, :]), axis=None)[:12] + c
+        assert values == pytest.approx(exact, rel=1e-10)
 
     def test_ghost_eigenvalue_exit_three(self, tmp_path, capsys, duplicating_solver):
         cfg_path = tmp_path / "cfg.json"

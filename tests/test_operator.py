@@ -48,6 +48,21 @@ class TestAssemble:
         ref = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
         assert abs(op.matrix - ref).max() < 1e-14
 
+    @pytest.mark.parametrize("gauge,pot,dtype", [
+        (ms.GaugeSpec.none(), ms.PotentialSpec.zero(), np.float64),
+        (ms.GaugeSpec.none(), ms.PotentialSpec.constant(2.0), np.float64),
+        (ms.GaugeSpec.none(), ms.PotentialSpec.radial_quadratic(1.0, center=(0.5, 0.5)),
+         np.float64),
+        (ms.GaugeSpec.uniform(0.0), ms.PotentialSpec.zero(), np.float64),
+        (ms.GaugeSpec.uniform(5.0), ms.PotentialSpec.zero(), np.complex128),
+        (ms.GaugeSpec.linear_gauge_shift(0.3, -0.2, 0.1), ms.PotentialSpec.zero(), np.complex128),
+    ], ids=["none-zero", "none-constant", "none-radial", "uniform-B0", "uniform-B5",
+            "shift-B0"])
+    def test_dtype_follows_link_phases(self, gauge, pot, dtype):
+        # real symmetric exactly when every Peierls phase is zero
+        dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16)
+        assert ms.assemble(dom, gauge, pot).matrix.dtype == dtype
+
     def test_constant_potential_shifts_spectrum(self, small_square_op):
         dom, op0 = small_square_op
         opc = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.constant(7.0))
