@@ -4,7 +4,7 @@ For each dimension this prints the unit-ball volume, the ratio constant H_d
 entering the spectral inequalities, the sharp sup-norm constant C_d(p) for
 p = 1 and p = 2, and the heat-kernel constant that dominates it.  It then
 verifies two structural identities numerically: the closed form of C_d(2)
-against adaptive quadrature, and the algebraic tie
+against the Gauss-Jacobi rule for general p, and the algebraic tie
 H_d = (2 pi)^d v_d^{-1} C_d(2)^2.
 """
 

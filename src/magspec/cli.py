@@ -50,12 +50,9 @@ def _cmd_spectrum(args) -> int:
     config = _load_config(args.config)
     harness.validate_config({**config, "checks": []})  # this command runs no checks
     values = harness._build_spectrum(config)[0].values
+    harness.write_spectrum_csv(values, args.out)
     if args.out:
-        harness.write_spectrum_csv(values, args.out)
         print(f"wrote {len(values)} eigenvalues to {args.out}")
-    else:
-        for v in values:
-            print(f"{v:.17g}")
     return EXIT_OK
 
 

@@ -11,12 +11,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .bounds import BoundCheck, _make_check
-from .errors import NumericalError
-from .specfun import ConstantsTable, bessel_j, bessel_zero, constants_table, sphere_area, \
-    unit_ball_volume
+from .specfun import ConstantsTable, bessel_j, bessel_zero, constants_table, \
+    radial_bessel_integral, sphere_area, unit_ball_volume
 
 __all__ = [
     "NormReport",
@@ -106,17 +104,14 @@ def z_profile(lam: float, d: int, r) -> np.ndarray | float:
 
 
 def z_lp_norm(lam: float, d: int, p: float) -> float:
-    """L_p norm of the radial profile over its ball, by adaptive quadrature."""
+    """L_p norm of the radial profile over its ball.  With s = sqrt(lam) r it
+    is (|S^(d-1)| lam^((p nu - d)/2) I_d(p))^(1/p), nu = (d-2)/2, where I_d(p)
+    is :func:`radial_bessel_integral`; the power of lam is taken out of the root."""
+    if lam <= 0:
+        raise ValueError(f"eigenvalue must be positive, got {lam}")
     nu = (d - 2) / 2.0
-    r_ball = bessel_zero(nu, 1) / math.sqrt(lam)
-
-    def integrand(r):
-        return float(z_profile(lam, d, r)) ** p * r ** (d - 1)
-
-    val, err = integrate.quad(integrand, 0.0, r_ball, epsabs=0.0, epsrel=1e-12, limit=200)
-    if not math.isfinite(val) or val < 0:
-        raise NumericalError(f"profile norm quadrature failed (value {val}, error {err})")
-    return (sphere_area(d) * val) ** (1.0 / p)
+    root = (sphere_area(d) * radial_bessel_integral(d, p)) ** (1.0 / p)
+    return root * lam ** ((p * nu - d) / (2 * p))
 
 
 def chiti_check(omega: np.ndarray, h: float, lam: float, d: int, p: float = 2.0,

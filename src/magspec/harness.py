@@ -379,16 +379,52 @@ def strip_timing(report: dict) -> dict:
     return out
 
 
+#: Element types of a list that the C JSON encoder renders in one call.
+_SCALAR_TYPES = {float, int, bool, str, type(None)}
+
+
+def _indented_json(obj, indent: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` at nesting ``indent``.
+
+    CPython's C encoder runs only without ``indent``, so containers are laid
+    out here and each list of scalars goes through one C-encoder call whose
+    item separator carries the newline and indent.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{_indented_json(v, inner)}" for k, v in sorted(obj.items()))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) <= _SCALAR_TYPES:
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join(_indented_json(x, inner) for x in obj)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def write_report(report: dict, path: str | Path | None) -> None:
-    """Write a report as sorted, indented JSON to path, or to stdout when path is None."""
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Write a report as sorted, indented JSON to path, or to stdout when path is None.
+
+    The text is byte for byte ``json.dumps(report, sort_keys=True, indent=2)``
+    plus a newline."""
+    text = _indented_json(report) + "\n"
     if path is None:
         print(text, end="")
     else:
         Path(path).write_text(text)
 
 
-def write_spectrum_csv(values, path: str | Path) -> None:
-    """One eigenvalue per line."""
-    lines = "".join(f"{float(v):.17g}\n" for v in values)
-    Path(path).write_text(lines)
+def write_spectrum_csv(values, path: str | Path | None) -> None:
+    """One eigenvalue per line, to path, or to stdout when path is None."""
+    values = tuple(values)
+    text = ("%.17g\n" * len(values)) % values
+    if path is None:
+        print(text, end="")
+    else:
+        Path(path).write_text(text)

@@ -103,6 +103,26 @@ class TestZNorm:
                 assert ms.z_profile(lam, d, 0.0) == pytest.approx(rhs, rel=1e-9)
 
 
+    @pytest.mark.parametrize("d, p", [(2, 1.0), (3, 3.7), (5, 0.5)])
+    def test_matches_direct_integral(self, d, p):
+        # ||z||_p^p = |S^(d-1)| int_0^R z(r)^p r^(d-1) dr over the ball of radius R
+        import mpmath
+        lam = 3.3
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(d - 2) / 2
+            radius = mpmath.besseljzero(nu, 1) / mpmath.sqrt(lam)
+            val = mpmath.quad(lambda r: max(mpmath.besselj(nu, mpmath.sqrt(lam) * r), 0) ** p
+                              * r ** (d - 1 - nu * p), mpmath.linspace(0, radius, 5))
+            expected = float((ms.specfun.sphere_area(d) * val) ** (1 / mpmath.mpf(p)))
+        assert ms.z_lp_norm(lam, d, p) == pytest.approx(expected, rel=1e-12)
+
+    def test_rejects_nonpositive_eigenvalue(self):
+        with pytest.raises(ValueError):
+            ms.z_lp_norm(0.0, 2, 2.0)
+        with pytest.raises(ValueError):
+            ms.z_lp_norm(-1.0, 2, 2.0)
+
+
 class TestChitiCheck:
     def test_square_ground_state(self, square_ground_state_h64):
         dom, spec, pair = square_ground_state_h64

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -221,6 +223,81 @@ class TestReportFiles:
         assert values == pytest.approx(report["spectrum"]["values"], rel=1e-15)
 
 
+def _hand_built_report():
+    return {
+        "z": {"deep": {"deeper": [{"k": "v", "a": []}]}},
+        "empty_list": [],
+        "empty_dict": {},
+        "lists_of_lists": [[1, 2.5], [], [[]], [[3.0, -0.0], {"x": []}], [{}]],
+        "special": [float("nan"), float("inf"), -float("inf"), 1e-300, 1e300, 5e-324],
+        "nan": float("nan"),
+        "neg_inf": -float("inf"),
+        "mixed": [1, "two", None, True, False, 3.0, "é"],
+        "tuple": (1, (2, 3)),
+        "numpy": [np.float64(0.1), np.float64(2.0), 4.0],
+        "non_ascii_é": "ünïcode ☃ \u2603",
+        "escapes": 'quote " backslash \\ newline \n tab \t',
+        "booleans": [True, False],
+        "none": None,
+        "int": 7,
+        "Capital": 1,
+    }
+
+
+def _report_cases():
+    box = harness.run_scenario(box_config(spectrum={"type": "box", "lengths": [1.0, 1.0],
+                                                    "count": 10_000}))
+    grid = harness.run_scenario(grid_config(eigenfunction={"chiti": True, "ode": True}))
+    conv = harness.convergence_study(grid_config(h=1 / 8, k=2, reference={
+        "type": "box", "lengths": [1.0, 1.0]}), levels=3)
+    table = harness._jsonable(ms.constants_table(3, p_list=(0.5, 1.0, 2.0)))
+    return {"box-1e4": box, "grid": grid, "convergence": conv, "constants": table,
+            "hand-built": _hand_built_report()}
+
+
+def assert_same_text(actual: str, expected: str) -> None:
+    """Equal strings, or a failure naming the first difference (pytest's own
+    diff of two multi-megabyte strings takes minutes)."""
+    if actual != expected:
+        at = next((i for i, (a, b) in enumerate(zip(actual, expected)) if a != b),
+                  min(len(actual), len(expected)))
+        lo = max(at - 40, 0)
+        pytest.fail(f"first difference at {at}: {actual[lo:at + 40]!r} != "
+                    f"{expected[lo:at + 40]!r}")
+
+
+class TestReportText:
+    """Reports are written byte for byte as json.dumps(sort_keys=True, indent=2)."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return _report_cases()
+
+    @pytest.mark.parametrize("name", ["box-1e4", "grid", "convergence", "constants",
+                                      "hand-built"])
+    def test_file_matches_json_dumps(self, reports, name, tmp_path, capsys):
+        report = reports[name]
+        expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        path = tmp_path / "report.json"
+        harness.write_report(report, path)
+        assert_same_text(path.read_text(), expected)
+        harness.write_report(report, None)
+        assert_same_text(capsys.readouterr().out, expected)
+
+    def test_unserializable_value_still_raises(self, tmp_path):
+        for bad in ({"a": [object()]}, {"a": {1j: 0}}):
+            with pytest.raises(TypeError):
+                harness.write_report(bad, tmp_path / "bad.json")
+
+    def test_csv_matches_per_value_format(self, tmp_path):
+        spectrum = ms.box_spectrum([1.0, 1.3], 10_000).values
+        for values in (spectrum, list(spectrum), [float("nan"), float("inf"), -0.0, 1e-300, 3],
+                       []):
+            path = tmp_path / "spectrum.csv"
+            harness.write_spectrum_csv(values, path)
+            assert_same_text(path.read_text(), "".join(f"{float(v):.17g}\n" for v in values))
+
+
 class TestCli:
     def test_constants_command(self, capsys):
         assert cli.main(["constants", "--dim", "2"]) == 0
@@ -245,6 +322,30 @@ class TestCli:
                          "--out", str(out_path)]) == 0
         first = float(out_path.read_text().splitlines()[0])
         assert first == pytest.approx(2 * np.pi**2, rel=1e-12)
+
+    def test_spectrum_command_stdout_is_the_csv(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(box_config()))
+        out_path = tmp_path / "spec.csv"
+        assert cli.main(["spectrum", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["spectrum", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == out_path.read_text()
+
+    @pytest.mark.parametrize("dim, p", [("8", "200"), ("9", "150"), ("5", "540"), ("10", "250"),
+                                        ("4", "1100")])
+    def test_constants_underflow_exit_three(self, capsys, dim, p):
+        # I_d(p) underflows (or the rule's weights overflow): a typed numerical
+        # failure, not C_d(p) = 0 and not an OverflowError
+        assert cli.main(["constants", "--dim", dim, "--p", p]) == 3
+        assert "did not reach tolerance" in capsys.readouterr().err
+
+    def test_import_leaves_out_scipy_integrate(self):
+        code = ("import sys, magspec.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "[]"
 
     def test_convergence_command(self, tmp_path, capsys):
         cfg = grid_config(h=1 / 8, k=2)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from magspec import specfun
-from magspec.specfun import bessel_j, bessel_zero, constants_table, unit_ball_volume
+from magspec.errors import NumericalError
+from magspec.specfun import bessel_j, bessel_zero, constants_table, radial_bessel_integral, \
+    unit_ball_volume
 
 mpmath.mp.dps = 40
 
@@ -140,3 +142,55 @@ class TestConstantsTable:
             assert unit_ball_volume(d) == pytest.approx(
                 math.pi ** (d / 2) / math.gamma(1 + d / 2), rel=1e-14
             )
+
+
+def mp_radial_integral(d, p, panels=4):
+    """I_d(p) by mpmath on equal panels of [0, j1].  The integrand is scaled to
+    1 at r = 0, as mpmath's tolerance is absolute and I_d(p) can be tiny."""
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(d - 2) / 2
+        j1 = mpmath.besseljzero(nu, 1)
+        c = 2**nu * mpmath.gamma(nu + 1)  # J_nu(r) / r^nu -> 1/c as r -> 0
+        val = mpmath.quad(lambda r: max(c * mpmath.besselj(nu, r) / r**nu, 0) ** p * r ** (d - 1),
+                          mpmath.linspace(0, j1, panels + 1))
+        return float(val / c**p)
+
+
+class TestRadialBesselIntegral:
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_closed_forms(self, d):
+        # int_0^j1 J_nu r^(nu+1) dr = j1^(nu+1) J_{nu+1}(j1);
+        # int_0^j1 J_nu^2 r dr = j1^2/2 J_{nu+1}(j1)^2, as J_nu(j1) = 0
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(d - 2) / 2
+            j1 = mpmath.besseljzero(nu, 1)
+            i1 = float(j1 ** (nu + 1) * mpmath.besselj(nu + 1, j1))
+            i2 = float(j1**2 / 2 * mpmath.besselj(nu + 1, j1) ** 2)
+        assert radial_bessel_integral(d, 1.0) == pytest.approx(i1, rel=1e-13)
+        assert radial_bessel_integral(d, 2.0) == pytest.approx(i2, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 3.7, 10.0])
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_matches_mpmath(self, d, p):
+        assert radial_bessel_integral(d, p) == pytest.approx(mp_radial_integral(d, p), rel=1e-13)
+
+    def test_reference_is_panel_independent(self):
+        # the scaled mpmath reference does not move with the panel count
+        # (unscaled, at d = 7 and p = 50 it moved by 1e-7)
+        a, b = mp_radial_integral(7, 50.0, panels=4), mp_radial_integral(7, 50.0, panels=16)
+        assert a == pytest.approx(b, rel=1e-15)
+        assert radial_bessel_integral(7, 50.0) == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("d, p", [(8, 200.0), (9, 150.0), (10, 200.0), (2, 2000.0)])
+    def test_underflow_is_a_typed_failure(self, d, p):
+        # the integral underflows (d >= 8) or the rule's weights overflow (p = 2000)
+        with pytest.raises(NumericalError, match="did not reach tolerance"):
+            radial_bessel_integral(d, p)
+        with pytest.raises(NumericalError):
+            constants_table(d, p_list=(p,))
+
+    @pytest.mark.parametrize("d", [2, 6, 7])
+    def test_large_exponent_without_underflow(self, d):
+        # terms are scaled so that none underflows before the integral does
+        assert radial_bessel_integral(d, 200.0) == pytest.approx(mp_radial_integral(d, 200.0),
+                                                                 rel=1e-11)
