@@ -8,7 +8,7 @@ import numpy as np
 
 from .eigensolve import Spectrum
 from .errors import InputDataError, NumericalError
-from .specfun import bessel_zeros, unit_ball_volume
+from .specfun import bessel_zero_ladder, unit_ball_volume
 
 __all__ = ["box_spectrum", "disk_spectrum", "weyl_eigenvalue"]
 
@@ -62,10 +62,10 @@ def disk_spectrum(R: float, count: int) -> Spectrum:
     # zeros j <= X number about X^2/4 with multiplicity
     X = 2.0 * math.sqrt(count) + 10.0
     while True:
-        vals = []
-        for n in range(int(X) + 1):  # j_{n,1} > n: no higher order has a zero below X
-            vals.append(np.repeat((bessel_zeros(n, X) / R) ** 2, 1 if n == 0 else 2))
-        vals = np.sort(np.concatenate(vals))
+        # j_{n,1} > n: no order above X has a zero below X
+        zeros = bessel_zero_ladder(0, int(X), X)
+        vals = np.sort(np.concatenate([np.repeat((z / R) ** 2, 1 if n == 0 else 2)
+                                       for n, z in enumerate(zeros)]))
         if vals.size >= count:
             return Spectrum(d=2, values=vals[:count], source="analytic", measure=math.pi * R**2)
         X *= 1.2

@@ -1,19 +1,25 @@
 """Bessel functions, their positive zeros, and the explicit spectral constants.
 
 All constants are expressed through the Bessel function of order
-``nu = (d-2)/2`` and its first positive zero.  The zeros of one order below a
-bound come from one sign scan refined by vectorized Newton steps; nothing is
-cached.  Supported orders are the integers and half-integers in [0, MAX_ORDER].
+``nu = (d-2)/2`` and its first positive zero.  One routine,
+:func:`bessel_zero_ladder`, finds the zeros below a bound of a ladder of
+orders nu0, nu0 + 1, ... with nu0 = 0 or 1/2: one table filled by the forward
+three-term recurrence brackets them, one vectorized Newton iteration refines
+all of them, and a closing Newton step through ``special.jv`` checks them.
+:func:`bessel_zeros` and :func:`bessel_zero` are views of it.  Supported
+orders are the integers and half-integers in [0, MAX_ORDER].
 
 The sharp sup-norm constants C_d(p) and the L_p norms of the radial ball
 profile both rest on one radial Bessel integral, :func:`radial_bessel_integral`.
 Its integrand vanishes like (j1 - r)^p at the first zero j1, so a fixed
 Gauss-Jacobi rule with that weight integrates the analytic remainder to
 rounding; the rule at twice the nodes must agree, or NumericalError is raised.
+Each rule is built once per process and exponent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +35,7 @@ __all__ = [
     "ConstantsTable",
     "bessel_j",
     "bessel_zero",
+    "bessel_zero_ladder",
     "bessel_zeros",
     "radial_bessel_integral",
     "unit_ball_volume",
@@ -46,6 +53,8 @@ MAX_DIM = 10
 _SCAN_STEP = 0.5
 _ZERO_XTOL = 1e-14
 _MAX_NEWTON = 20
+#: Largest relative step of the closing Newton step through special.jv.
+_CHECK_RTOL = 1e-13
 #: Nodes of the Gauss-Jacobi rule; the check uses twice as many.
 _GAUSS_NODES = 40
 #: Largest relative difference accepted between the two rules.
@@ -81,25 +90,84 @@ def bessel_j(order: float, x):
     return out
 
 
-def bessel_zeros(order: float, x_max: float) -> np.ndarray:
-    """Every positive zero of J_order up to x_max, ascending, accurate to better than 1e-10."""
-    order = _check_order(order)
-    # Zeros of J_nu exceed nu and lie more than 2 apart, so each cell of a
-    # 0.5-step grid from nu brackets at most one zero.
-    grid = np.arange(max(order, 1e-8), x_max + _SCAN_STEP, _SCAN_STEP)
-    vals = special.jv(order, grid)
-    cell = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    lo, hi, f_lo, f_hi = grid[cell], grid[cell + 1], vals[cell], vals[cell + 1]
+def _seeds(nu0: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_nu0(x) and J_{nu0+1}(x) for nu0 = 0 (j0, j1) or nu0 = 1/2 (elementary forms)."""
+    if nu0 == 0:
+        return special.j0(x), special.j1(x)
+    amp, s = np.sqrt(2 / (np.pi * x)), np.sin(x)
+    return amp * s, amp * (s / x - np.cos(x))
+
+
+def _recurrence(nu0: float, x: np.ndarray, starts):
+    """Run J_{nu+1}(x) = (2 nu / x) J_nu(x) - J_{nu-1}(x) forward from nu = nu0.
+
+    Step m = 1, 2, ... moves the points x[starts[m-1]:] from the pair
+    (J_{nu0+m-1}, J_{nu0+m}) to (J_{nu0+m}, J_{nu0+m+1}) and leaves the rest.
+    Yields the pair of arrays before the first step and after each step.  The
+    recurrence is stable while the order stays below x (Gautschi, SIAM Rev. 9
+    (1967)), so callers advance only points with x > nu0 + m at step m.
+    """
+    a, b = _seeds(nu0, x)
+    yield a, b
+    for m, s in enumerate(starts, 1):
+        a[s:], b[s:] = b[s:], 2 * (nu0 + m) / x[s:] * b[s:] - a[s:]
+        yield a, b
+
+
+def bessel_zero_ladder(low: float, high: float, x_max: float) -> list[np.ndarray]:
+    """Every positive zero up to x_max of J_nu for nu = low, low + 1, ..., high:
+    one ascending array per order, accurate to better than 1e-10.
+
+    One table of J_nu on a 0.5-step grid, filled by forward recurrence from
+    nu0 = low mod 1 in the cells above nu, brackets every zero; one vectorized
+    Newton iteration, evaluated by the same recurrence, refines the zeros of
+    all orders at once.  A closing Newton step through special.jv checks the
+    result: if it moves a zero by more than _CHECK_RTOL relative, NumericalError.
+    """
+    low, high = _check_order(low), _check_order(high)
+    if high < low or (high - low) % 1:
+        raise ValueError(f"orders must step by one from {low} to {high}")
+    what = f"the zeros of J_{low}" + (f"..J_{high}" if high > low else "")
+    nu0 = low % 1
+    first, top = int(low - nu0), int(high - nu0)
+    # Zeros of J_nu exceed nu and lie more than 2 apart, so each cell of the
+    # grid above nu brackets at most one zero.
+    grid = _SCAN_STEP * np.arange(1, math.floor(x_max / _SCAN_STEP) + 2)
+    above = np.searchsorted(grid, nu0 + np.arange(top + 1), side="right")
+    table = np.zeros((top - first + 1, grid.size))  # 0 where x <= nu: no sign change
+    for m, (row, _) in enumerate(_recurrence(nu0, grid, above[1:])):
+        if m >= first:
+            table[m - first, above[m]:] = row[above[m]:]
+    k, cell = np.nonzero(table[:, :-1] * table[:, 1:] < 0)  # by order, then by x
+    lo, hi, f_lo, f_hi = grid[cell], grid[cell + 1], table[k, cell], table[k, cell + 1]
     x = lo - f_lo * (hi - lo) / (f_hi - f_lo)  # regula falsi
+    k += first
+    nu = nu0 + k
+    starts = np.searchsorted(k, np.arange(1, top + 1))  # zeros of order >= nu0 + m
     for _ in range(_MAX_NEWTON):
-        f = special.jv(order, x)
-        step = f / (special.jv(order - 1, x) - order * f / x)
+        *_, (f, g) = _recurrence(nu0, x, starts)  # J_nu(x), J_{nu+1}(x)
+        slope = nu * f / x - g
+        step = f / slope
         x = x - step
         if np.any((x < lo) | (x > hi)):
-            raise NumericalError(f"Newton iteration for the zeros of J_{order} left its bracket")
+            raise NumericalError(f"Newton iteration for {what} left its bracket")
         if np.all(np.abs(step) <= _ZERO_XTOL * x):
-            return x[x <= x_max]
-    raise NumericalError(f"Newton iteration for the zeros of J_{order} did not converge")
+            break
+    else:
+        raise NumericalError(f"Newton iteration for {what} did not converge")
+    step = special.jv(nu, x) / slope
+    if np.any(np.abs(step) > _CHECK_RTOL * x):
+        worst = float(np.max(np.abs(step) / x))
+        raise NumericalError(f"{what} by recurrence are off by {worst:.2e} relative "
+                             f"from special.jv")
+    x = x - step
+    keep = x <= x_max
+    return np.split(x[keep], np.searchsorted(k[keep], np.arange(first + 1, top + 1)))
+
+
+def bessel_zeros(order: float, x_max: float) -> np.ndarray:
+    """Every positive zero of J_order up to x_max, ascending, accurate to better than 1e-10."""
+    return bessel_zero_ladder(order, order, x_max)[0]
 
 
 def bessel_zero(order: float, m: int) -> float:
@@ -141,6 +209,16 @@ class ConstantsTable:
     chiti_p: dict[float, float] = field(default_factory=dict)
 
 
+@functools.lru_cache(maxsize=None)
+def _jacobi_rule(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-node Gauss-Jacobi rule with weight
+    (1 - x)^p on [-1, 1]."""
+    rule = special.roots_jacobi(n, p, 0.0)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def radial_bessel_integral(d: int, p: float) -> float:
     """I_d(p) = int_0^j1 (J_nu(r) / r^nu)^p r^(d-1) dr with nu = (d-2)/2 and j1
     the first positive zero of J_nu.
@@ -155,7 +233,7 @@ def radial_bessel_integral(d: int, p: float) -> float:
     j1 = bessel_zero(nu, 1)
 
     def rule(n: int) -> float:
-        x, w = special.roots_jacobi(n, p, 0.0)  # weight (1 - x)^p on [-1, 1]
+        x, w = _jacobi_rule(n, p)
         r = j1 * (1 + x) / 2  # so j1 - r = j1 (1 - x) / 2
         # (J_nu(r)/r^nu)^p = 2^-p (1-x)^p f^p with f >= J_nu(r)/r^nu, so no term
         # underflows before the integrand does; 2^-p goes into the weights

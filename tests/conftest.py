@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 import magspec as ms
 from magspec import eigensolve
@@ -14,6 +15,14 @@ def square_spectrum():
 @pytest.fixture(scope="session")
 def disk_unit_spectrum():
     return ms.disk_spectrum(1.0, 250)
+
+
+@pytest.fixture(scope="session")
+def jn_zeros_to_210():
+    """scipy's zeros j_{n,m}, m <= 68, of J_n for n = 0..210: every zero <= 210."""
+    zeros = [special.jn_zeros(n, 68) for n in range(211)]
+    assert min(z[-1] for z in zeros) > 210
+    return zeros
 
 
 @pytest.fixture(scope="session")

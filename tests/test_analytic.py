@@ -73,6 +73,14 @@ class TestDiskSpectrum:
         assert exact.size >= 2000
         assert ms.disk_spectrum(1.0, 2000).values == pytest.approx(exact[:2000], rel=1e-12)
 
+    def test_largest_disk_matches_scipy_bessel_zeros(self, jn_zeros_to_210):
+        exact = np.sort(np.concatenate([np.repeat(z[z <= 210] ** 2, 1 if n == 0 else 2)
+                                        for n, z in enumerate(jn_zeros_to_210)]))
+        assert exact.size >= 10**4
+        values = ms.disk_spectrum(1.0, 10**4).values
+        assert values.size == 10**4
+        assert np.max(np.abs(values - exact[:10**4]) / exact[:10**4]) <= 1e-12
+
     def test_rejects_bad_input(self):
         with pytest.raises(ms.InputDataError):
             ms.disk_spectrum(0.0, 5)

@@ -1,8 +1,10 @@
+import collections
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from magspec import specfun
 from magspec.errors import NumericalError
@@ -100,6 +102,50 @@ class TestBesselZeros:
         assert specfun.bessel_zeros(10, 5.0).size == 0
 
 
+class TestBesselZeroLadder:
+    def test_integer_ladder_matches_scipy(self, jn_zeros_to_210):
+        # orders 0..210 up to X = 210, as for the largest disk (count 10^4)
+        ladder = specfun.bessel_zero_ladder(0, 210, 210.0)
+        assert len(ladder) == 211
+        for n, (zeros, exact) in enumerate(zip(ladder, jn_zeros_to_210)):
+            exact = exact[exact <= 210]
+            assert zeros.size == exact.size, n
+            assert np.all(np.abs(zeros - exact) <= 1e-13 * exact), n
+
+    def test_half_integer_ladder_is_its_single_orders(self):
+        ladder = specfun.bessel_zero_ladder(0.5, 30.5, 100.0)
+        assert len(ladder) == 31
+        for i, zeros in enumerate(ladder):
+            single = specfun.bessel_zeros(0.5 + i, 100.0)
+            assert zeros.size == single.size > 0
+            assert zeros == pytest.approx(single, rel=1e-14)
+        assert ladder[0] == pytest.approx(math.pi * np.arange(1, 32), rel=1e-14)
+
+    def test_sub_ladder(self):
+        ladder = specfun.bessel_zero_ladder(3, 5, 30.0)
+        assert len(ladder) == 3
+        for zeros, order in zip(ladder, (3, 4, 5)):
+            assert zeros == pytest.approx(special.jn_zeros(order, zeros.size), rel=1e-13)
+            assert special.jn_zeros(order, zeros.size + 1)[-1] > 30.0
+
+    def test_direct_check_catches_a_wrong_recurrence(self, monkeypatch):
+        # the closing Newton step through special.jv sees a J_nu off by 1e-6
+        jv = special.jv
+        monkeypatch.setattr(specfun.special, "jv", lambda nu, x: jv(nu, x) + 1e-6)
+        with pytest.raises(NumericalError, match="special.jv"):
+            specfun.bessel_zeros(0, 50.0)
+        with pytest.raises(NumericalError, match="special.jv"):
+            specfun.bessel_zero_ladder(0, 40, 60.0)
+
+    def test_rejects_bad_orders(self):
+        with pytest.raises(ValueError):
+            specfun.bessel_zero_ladder(0, 2.5, 10.0)
+        with pytest.raises(ValueError):
+            specfun.bessel_zero_ladder(3, 1, 10.0)
+        with pytest.raises(ValueError):
+            specfun.bessel_zero_ladder(0, specfun.MAX_ORDER + 1, 10.0)
+
+
 class TestConstantsTable:
     @pytest.mark.parametrize("d", range(2, 11))
     def test_invariants(self, d):
@@ -136,6 +182,28 @@ class TestConstantsTable:
             constants_table(11)
         with pytest.raises(ValueError):
             constants_table(2, p_list=(0.0,))
+
+    def test_rules_built_once_per_process(self, monkeypatch):
+        built = collections.Counter()
+        roots_jacobi = special.roots_jacobi
+
+        def counting(n, alpha, beta):
+            built[n, alpha] += 1
+            return roots_jacobi(n, alpha, beta)
+
+        monkeypatch.setattr(specfun.special, "roots_jacobi", counting)
+        specfun._jacobi_rule.cache_clear()
+        for _ in range(3):
+            for d in (2, 3, 7):
+                constants_table(d, p_list=(1.0, 2.0, 3.7))
+        assert set(built) == {(n, p) for n in (40, 80) for p in (1.0, 2.0, 3.7)}
+        assert max(built.values()) == 1
+
+    def test_cached_rule_is_read_only_and_exact(self):
+        x, w = specfun._jacobi_rule(40, 2.5)
+        assert not x.flags.writeable and not w.flags.writeable
+        x0, w0 = special.roots_jacobi(40, 2.5, 0.0)
+        assert np.array_equal(x, x0) and np.array_equal(w, w0)
 
     def test_unit_ball_volume_formula(self):
         for d in range(2, 11):
