@@ -2,8 +2,10 @@
 
 Every check returns a :class:`BoundCheck` whose margin is oriented so that
 a non-negative margin means the inequality holds.  A margin in (-slack, 0)
-still passes, flagged as a tolerance pass; this absorbs discretization error
-when the spectrum comes from a grid operator.
+still passes, flagged as a tolerance pass.  Each check computes its own
+slack from the size of its inequality: ``discrete_slack(h, scale)`` on a
+grid of spacing ``h``, which absorbs the discretization error, and
+``ANALYTIC_SLACK_RTOL * |scale|`` on an exact spectrum (``h`` None).
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ _TINY = 1e-300
 def discrete_slack(h: float, scale: float) -> float:
     """Slack for checks on grid spectra: discretization error is O(h^2)."""
     return max(1e-8, 10.0 * h**2 * abs(scale))
+
+
+def _slack(h: float | None, scale: float) -> float:
+    """Slack of a check of size ``scale``, on a grid of spacing h or, with h None, exactly."""
+    return ANALYTIC_SLACK_RTOL * abs(scale) if h is None else discrete_slack(h, scale)
 
 
 @dataclass(frozen=True)
@@ -109,19 +116,20 @@ def legendre_transform_riesz(spec: Spectrum, p: float) -> float:
     return float(frac * spec.values[ip] + spec.values[:ip].sum())
 
 
-def check_berezin_li_yau(spec: Spectrum, measure: float, lam: float,
-                         slack: float = 0.0) -> BoundCheck:
+def check_berezin_li_yau(spec: Spectrum, measure: float, lam: float, *,
+                         h: float | None = None) -> BoundCheck:
     """Riesz mean <= (2/(d+2)) v_d |Omega| lambda^{1+d/2}."""
     d = spec.d
     lhs = riesz_mean(spec, lam)
     rhs = 2.0 / (d + 2) * unit_ball_volume(d) * measure * lam ** (1 + d / 2)
     return _make_check(
-        "berezin-li-yau", lhs, rhs, rhs - lhs, slack,
+        "berezin-li-yau", lhs, rhs, rhs - lhs, _slack(h, rhs),
         {"lambda": lam, "d": d, "measure": measure},
     )
 
 
-def check_li_yau(spec: Spectrum, measure: float, k: int, slack: float = 0.0) -> BoundCheck:
+def check_li_yau(spec: Spectrum, measure: float, k: int, *,
+                 h: float | None = None) -> BoundCheck:
     """sum_{j<=k} lambda_j >= (4 pi^2 d/(d+2)) v_d^{-2/d} |Omega|^{-2/d} k^{1+2/d}."""
     d = spec.d
     k = int(k)
@@ -131,12 +139,12 @@ def check_li_yau(spec: Spectrum, measure: float, k: int, slack: float = 0.0) -> 
         * measure ** (-2 / d) * k ** (1 + 2 / d)
     rhs = float(spec.values[:k].sum())
     return _make_check(
-        "li-yau", lhs, rhs, rhs - lhs, slack,
+        "li-yau", lhs, rhs, rhs - lhs, _slack(h, rhs),
         {"k": k, "d": d, "measure": measure},
     )
 
 
-def check_riesz_lower(spec: Spectrum, lam: float, slack: float = 0.0,
+def check_riesz_lower(spec: Spectrum, lam: float, *, h: float | None = None,
                       table: ConstantsTable | None = None) -> BoundCheck:
     """Riesz mean >= (2/(d+2)) H_d^{-1} lambda_1^{-d/2} (lambda-lambda_1)_+^{1+d/2}."""
     d = spec.d
@@ -146,12 +154,13 @@ def check_riesz_lower(spec: Spectrum, lam: float, slack: float = 0.0,
     lhs = (2.0 / (d + 2)) / table.ratio_constant * lam1 ** (-d / 2) \
         * max(lam - lam1, 0.0) ** (1 + d / 2)
     return _make_check(
-        "riesz-mean-lower", lhs, rhs, rhs - lhs, slack,
+        "riesz-mean-lower", lhs, rhs, rhs - lhs,
+        _slack(h, lam ** (1 + d / 2) / lam1 ** (d / 2)),
         {"lambda": lam, "d": d, "lambda_1": lam1, "H_d": table.ratio_constant},
     )
 
 
-def check_shifted_sum_upper(spec: Spectrum, k: int, slack: float = 0.0,
+def check_shifted_sum_upper(spec: Spectrum, k: int, *, h: float | None = None,
                             table: ConstantsTable | None = None) -> BoundCheck:
     """sum_{j<=k}(lambda_j - lambda_1) <= (d/(d+2)) H_d^{2/d} lambda_1 k^{1+2/d}."""
     d = spec.d
@@ -163,12 +172,12 @@ def check_shifted_sum_upper(spec: Spectrum, k: int, slack: float = 0.0,
     lhs = float((spec.values[:k] - lam1).sum())
     rhs = (d / (d + 2)) * table.ratio_constant ** (2 / d) * lam1 * k ** (1 + 2 / d)
     return _make_check(
-        "shifted-sum-upper", lhs, rhs, rhs - lhs, slack,
+        "shifted-sum-upper", lhs, rhs, rhs - lhs, _slack(h, lam1 * k ** (1 + 2 / d)),
         {"k": k, "d": d, "lambda_1": lam1, "H_d": table.ratio_constant},
     )
 
 
-def check_ratio_bounds(spec: Spectrum, k: int, slack: float = 0.0,
+def check_ratio_bounds(spec: Spectrum, k: int, *, h: float | None = None,
                        table: ConstantsTable | None = None) -> list[BoundCheck]:
     """The three explicit upper bounds on lambda_{k+1}/lambda_1."""
     d = spec.d
@@ -179,6 +188,7 @@ def check_ratio_bounds(spec: Spectrum, k: int, slack: float = 0.0,
     hd = table.ratio_constant
     lam1 = float(spec.values[0])
     lhs = float(spec.values[k])
+    slack = _slack(h, lhs)
     ctx = {"k": k, "d": d, "lambda_1": lam1, "H_d": hd}
     rhs_direct = lam1 * (1 + (1 + d / 2) ** (2 / d) * hd ** (2 / d) * k ** (2 / d))
     rhs_sum = lam1 * (1 + 4 / d) * (1 + d / (d + 2) * hd ** (2 / d) * k ** (2 / d))
@@ -199,7 +209,7 @@ def check_ratio_bounds(spec: Spectrum, k: int, slack: float = 0.0,
     ]
 
 
-def check_yang(spec: Spectrum, k: int, slack: float = 0.0) -> BoundCheck:
+def check_yang(spec: Spectrum, k: int, *, h: float | None = None) -> BoundCheck:
     """sum_{j<=k} (lambda_{k+1}-lambda_j)(lambda_{k+1}-(1+4/d) lambda_j) <= 0."""
     d = spec.d
     k = int(k)
@@ -208,12 +218,13 @@ def check_yang(spec: Spectrum, k: int, slack: float = 0.0) -> BoundCheck:
     lam = spec.values[: k + 1]
     lhs = float(((lam[k] - lam[:k]) * (lam[k] - (1 + 4 / d) * lam[:k])).sum())
     return _make_check(
-        "yang", lhs, 0.0, -lhs, slack,
+        "yang", lhs, 0.0, -lhs, _slack(h, float(lam[k]) ** 2 * k),
         {"k": k, "d": d, "lambda_1": float(lam[0])},
     )
 
 
-def check_yang_corollaries(spec: Spectrum, k: int, slack: float = 0.0) -> list[BoundCheck]:
+def check_yang_corollaries(spec: Spectrum, k: int, *,
+                           h: float | None = None) -> list[BoundCheck]:
     """Second Yang, Hile-Protter and Payne-Polya-Weinberger consequences.
 
     Hile-Protter divides by the gaps lambda_{k+1} - lambda_j; when the top gap
@@ -226,6 +237,7 @@ def check_yang_corollaries(spec: Spectrum, k: int, slack: float = 0.0) -> list[B
         raise ValueError(f"need 1 <= k <= {len(spec) - 1} for lambda_(k+1), got {k}")
     lam = spec.values[: k + 1]
     mean = float(lam[:k].mean())
+    slack = _slack(h, lam[k])
     ctx = {"k": k, "d": d, "lambda_1": float(lam[0])}
 
     y = _make_check("yang-second", float(lam[k]), (1 + 4 / d) * mean,
@@ -246,8 +258,8 @@ def check_yang_corollaries(spec: Spectrum, k: int, slack: float = 0.0) -> list[B
     return [y, hp, ppw]
 
 
-def check_sup_norm_riesz_lower(spec: Spectrum, sup_norm_omega: float, lam: float,
-                               slack: float = 0.0) -> BoundCheck:
+def check_sup_norm_riesz_lower(spec: Spectrum, sup_norm_omega: float, lam: float, *,
+                               h: float | None = None) -> BoundCheck:
     """Riesz mean >= (2 v_d/((d+2)(2 pi)^d)) ||omega||_inf^{-2} (lambda-lambda_1)_+^{1+d/2},
     with omega a unit-L2 ground state."""
     d = spec.d
@@ -258,7 +270,8 @@ def check_sup_norm_riesz_lower(spec: Spectrum, sup_norm_omega: float, lam: float
     lhs = (2 * unit_ball_volume(d) / ((d + 2) * (2 * math.pi) ** d)) \
         * sup_norm_omega**-2 * max(lam - lam1, 0.0) ** (1 + d / 2)
     return _make_check(
-        "ground-state-riesz-lower", lhs, rhs, rhs - lhs, slack,
+        "ground-state-riesz-lower", lhs, rhs, rhs - lhs,
+        _slack(h, lam ** (1 + d / 2) / sup_norm_omega**2),
         {"lambda": lam, "d": d, "lambda_1": lam1, "sup_norm": sup_norm_omega},
     )
 
@@ -266,46 +279,24 @@ def check_sup_norm_riesz_lower(spec: Spectrum, sup_norm_omega: float, lam: float
 # ---------------------------------------------------------------------------
 # check registry
 
-#: Config check name -> (parameter key, slack scale, check call).  The
-#: parameter key is ``ks`` or ``lambdas``.  ``scale(spec, x, table=, sup=)`` is
-#: the size the check's discretization slack is proportional to, and
-#: ``run(spec, x, slack, table=, sup=)`` evaluates the check at parameter x;
+#: Config check name -> (parameter key, check call).  The parameter key is
+#: ``ks`` or ``lambdas``, and ``run(spec, x, h=, table=, sup=)`` evaluates the
+#: check at parameter x on a grid of spacing h (None for an exact spectrum);
 #: ``sup`` is the sup norm of the unit-L2 ground state (None when analytic).
 #: The calls look each check function up by its module-level name when they
 #: run, so a wrapper installed on this module sees every call.
 CHECKS: dict[str, tuple] = {
-    "berezin-li-yau": (
-        "lambdas",
-        lambda spec, lam, table, **_:
-            2 / (spec.d + 2) * table.ball_volume * spec.measure * lam ** (1 + spec.d / 2),
-        lambda spec, lam, slack, **_: check_berezin_li_yau(spec, spec.measure, lam, slack)),
-    "li-yau": (
-        "ks",
-        lambda spec, k, **_:
-            float(spec.values[: int(k)].sum()) if int(k) <= len(spec) else spec.values[-1],
-        lambda spec, k, slack, **_: check_li_yau(spec, spec.measure, int(k), slack)),
-    "riesz-mean-lower": (
-        "lambdas",
-        lambda spec, lam, **_: lam ** (1 + spec.d / 2) / spec.values[0] ** (spec.d / 2),
-        lambda spec, lam, slack, table, **_: check_riesz_lower(spec, lam, slack, table)),
-    "shifted-sum-upper": (
-        "ks",
-        lambda spec, k, **_: spec.values[0] * int(k) ** (1 + 2 / spec.d),
-        lambda spec, k, slack, table, **_: check_shifted_sum_upper(spec, int(k), slack, table)),
-    "ratio-bounds": (
-        "ks",
-        lambda spec, k, **_: spec.values[min(int(k), len(spec) - 1)],
-        lambda spec, k, slack, table, **_: check_ratio_bounds(spec, int(k), slack, table)),
-    "yang": (
-        "ks",
-        lambda spec, k, **_: float(spec.values[min(int(k), len(spec) - 1)]) ** 2 * int(k),
-        lambda spec, k, slack, **_: check_yang(spec, int(k), slack)),
-    "yang-corollaries": (
-        "ks",
-        lambda spec, k, **_: spec.values[min(int(k), len(spec) - 1)],
-        lambda spec, k, slack, **_: check_yang_corollaries(spec, int(k), slack)),
-    "ground-state-riesz-lower": (
-        "lambdas",
-        lambda spec, lam, sup, **_: lam ** (1 + spec.d / 2) / sup**2,
-        lambda spec, lam, slack, sup, **_: check_sup_norm_riesz_lower(spec, sup, lam, slack)),
+    "berezin-li-yau": ("lambdas", lambda spec, lam, h, **_:
+                       check_berezin_li_yau(spec, spec.measure, lam, h=h)),
+    "li-yau": ("ks", lambda spec, k, h, **_: check_li_yau(spec, spec.measure, k, h=h)),
+    "riesz-mean-lower": ("lambdas", lambda spec, lam, h, table, **_:
+                         check_riesz_lower(spec, lam, h=h, table=table)),
+    "shifted-sum-upper": ("ks", lambda spec, k, h, table, **_:
+                          check_shifted_sum_upper(spec, k, h=h, table=table)),
+    "ratio-bounds": ("ks", lambda spec, k, h, table, **_:
+                     check_ratio_bounds(spec, k, h=h, table=table)),
+    "yang": ("ks", lambda spec, k, h, **_: check_yang(spec, k, h=h)),
+    "yang-corollaries": ("ks", lambda spec, k, h, **_: check_yang_corollaries(spec, k, h=h)),
+    "ground-state-riesz-lower": ("lambdas", lambda spec, lam, h, sup, **_:
+                                 check_sup_norm_riesz_lower(spec, sup, lam, h=h)),
 }

@@ -126,8 +126,16 @@ def validate_config(config: dict) -> None:
     spec_src = config.get("spectrum")
     if not isinstance(spec_src, dict) or spec_src.get("type") not in ("box", "disk", "grid"):
         raise InputDataError("config needs a 'spectrum' block of type box, disk or grid")
-    if "tol" in _object(config, "eigenfunction"):
+    eig = _object(config, "eigenfunction")
+    if "tol" in eig:
         raise InputDataError("config key 'eigenfunction.tol' is not supported: slacks are fixed")
+    for key in ("chiti", "comparison", "ode"):
+        if not isinstance(eig.get(key, False), bool):
+            raise InputDataError(f"'eigenfunction.{key}' must be true or false, got {eig[key]!r}")
+    p = eig.get("p", 2.0)
+    if not (isinstance(p, (int, float)) and not isinstance(p, bool)
+            and 0 < p <= sys.float_info.max):
+        raise InputDataError(f"'eigenfunction.p' must be a finite positive number, got {p!r}")
     if _object(config, "reference").get("type") == "box":
         _number_list(config["reference"], "lengths", range(2, 6))
     checks = config.get("checks", [])
@@ -191,12 +199,6 @@ def _build_spectrum(config: dict) -> tuple[Spectrum, list[EigenPair], float]:
     return spec, pairs, time.perf_counter() - t0
 
 
-def _slack_for(config: dict, spec: Spectrum, scale: float) -> float:
-    if spec.source == "analytic":
-        return bounds.ANALYTIC_SLACK_RTOL * abs(scale)
-    return bounds.discrete_slack(float(config["spectrum"]["domain"]["h"]), scale)
-
-
 def _resolve_lambdas(chk: dict, spec: Spectrum) -> list[float]:
     lams = [float(x) for x in chk.get("lambdas", [])]
     for j in chk.get("lambda_indices", []):
@@ -207,22 +209,21 @@ def _resolve_lambdas(chk: dict, spec: Spectrum) -> list[float]:
     return lams
 
 
-def _run_checks(config: dict, spec: Spectrum, pairs: list[EigenPair],
+def _run_checks(config: dict, spec: Spectrum, pairs: list[EigenPair], h: float | None,
                 table: ConstantsTable) -> tuple[list, list]:
     results = []
     errors = []
     sup = float(np.abs(pairs[0].vector).max()) if pairs else None
     for chk in config.get("checks", []):
         name = chk["name"]
-        param, scale, run = bounds.CHECKS[name]
+        param, run = bounds.CHECKS[name]
         if param == "ks":
             params = [("k", k) for k in chk.get("ks", [])]
         else:
             params = [("lambda", lam) for lam in _resolve_lambdas(chk, spec)]
         for key, x in params:
-            slack = _slack_for(config, spec, scale(spec, x, table=table, sup=sup))
             try:
-                out = run(spec, x, slack, table=table, sup=sup)
+                out = run(spec, x, h=h, table=table, sup=sup)
             except (TruncationError, ValueError, NumericalError) as exc:
                 errors.append({"check": name, "error": type(exc).__name__, "message": str(exc),
                                key: x})
@@ -231,14 +232,13 @@ def _run_checks(config: dict, spec: Spectrum, pairs: list[EigenPair],
     return results, errors
 
 
-def _run_eigenfunction(config: dict, spec: Spectrum, pairs: list[EigenPair],
+def _run_eigenfunction(config: dict, spec: Spectrum, pairs: list[EigenPair], h: float | None,
                        table: ConstantsTable) -> tuple[dict, list]:
     cfg = config.get("eigenfunction")
     out: dict = {}
     checks = []
     if not cfg or not pairs:
         return out, checks
-    h = float(config["spectrum"]["domain"]["h"])
     ground = pairs[0]
     omega = ground.vector
     lam = ground.value
@@ -289,8 +289,10 @@ def run_scenario(config: dict) -> dict:
     t_start = time.perf_counter()
     spec, pairs, t_solve = _build_spectrum(config)
     table = constants_table(spec.d, p_list=(1.0, 2.0))
-    check_results, errors = _run_checks(config, spec, pairs, table)
-    eig_out, eig_checks = _run_eigenfunction(config, spec, pairs, table)
+    src = config["spectrum"]
+    h = float(src["domain"]["h"]) if src["type"] == "grid" else None
+    check_results, errors = _run_checks(config, spec, pairs, h, table)
+    eig_out, eig_checks = _run_eigenfunction(config, spec, pairs, h, table)
     check_results = check_results + eig_checks
 
     hard = [c for c in check_results if c.applicable and not c.diagnostic]

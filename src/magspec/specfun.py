@@ -170,8 +170,9 @@ def bessel_zeros(order: float, x_max: float) -> np.ndarray:
     return bessel_zero_ladder(order, order, x_max)[0]
 
 
+@functools.lru_cache(maxsize=None)
 def bessel_zero(order: float, m: int) -> float:
-    """m-th positive zero of J_order, accurate to better than 1e-10."""
+    """m-th positive zero of J_order, accurate to better than 1e-10; cached per (order, m)."""
     order = _check_order(order)
     m = int(m)
     if m < 1:

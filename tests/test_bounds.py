@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import magspec as ms
+from magspec import bounds
 
 
 def _toy_spectrum(values, d=2):
@@ -186,8 +188,20 @@ class TestSlackPolicy:
 
     def test_tolerance_pass_flagged(self):
         spec = _toy_spectrum([1.0, 3.0000001])
-        chk = ms.check_ratio_bounds(spec, 1, slack=1e-3)[2]
+        # ratio-ppw misses by 1e-7; h = 0.01 gives a slack of 10 h^2 lambda_2 = 3e-4
+        chk = ms.check_ratio_bounds(spec, 1, h=0.01)[2]
         assert chk.passed and chk.tolerance_pass
+
+    def test_slack_is_derived_not_passed(self):
+        # every check takes the grid spacing h by keyword only and no slack,
+        # so a number in the old slack position cannot be read as h
+        names = [n for n in bounds.__all__ if n.startswith("check_")]
+        assert len(names) == 8
+        for name in names:
+            params = inspect.signature(getattr(bounds, name)).parameters
+            assert "slack" not in params, name
+            assert params["h"].kind is inspect.Parameter.KEYWORD_ONLY, name
+            assert params["h"].default is None, name
 
 
 @settings(max_examples=50, deadline=None)

@@ -124,11 +124,13 @@ class TestRunScenario:
         report = harness.run_scenario(grid_config())
         json.dumps(report)
 
-    def test_slack_scales_pinned(self):
-        # every configured check on one grid scenario; each slack must be
-        # discrete_slack(h, scale) with the scale written out here
+    @pytest.mark.parametrize("source", ["grid", "box"])
+    def test_slack_scales_pinned(self, source):
+        # every configured check on a grid scenario and on an exact box
+        # spectrum; each slack must be discrete_slack(h, scale) on the grid and
+        # ANALYTIC_SLACK_RTOL * |scale| on the box, with the scale written out here
         h = 1 / 16
-        cfg = grid_config(h=h, checks=[
+        checks = [
             {"name": "berezin-li-yau", "lambdas": [60.0]},
             {"name": "li-yau", "ks": [1, 4]},
             {"name": "riesz-mean-lower", "lambdas": [60.0]},
@@ -136,8 +138,14 @@ class TestRunScenario:
             {"name": "ratio-bounds", "ks": [2]},
             {"name": "yang", "ks": [3]},
             {"name": "yang-corollaries", "ks": [3]},
-            {"name": "ground-state-riesz-lower", "lambdas": [60.0]},
-        ])
+        ]
+        if source == "grid":
+            cfg = grid_config(h=h, checks=checks + [
+                {"name": "ground-state-riesz-lower", "lambdas": [60.0]}])
+            slack = lambda scale: bounds.discrete_slack(h, scale)
+        else:
+            cfg = box_config(checks=checks)
+            slack = lambda scale: bounds.ANALYTIC_SLACK_RTOL * abs(scale)
         report = harness.run_scenario(cfg)
         assert not report["check_errors"]
         vals = np.asarray(report["spectrum"]["values"])
@@ -159,11 +167,38 @@ class TestRunScenario:
             "ground-state-riesz-lower":
                 lambda c: c["lambda"] ** (1 + d / 2) / c["sup_norm"] ** 2,
         }
+        if source == "box":
+            del scales["ground-state-riesz-lower"]
         assert {c["name"] for c in report["checks"]} == set(scales)
-        assert len(report["checks"]) == 13
+        assert len(report["checks"]) == len(scales) + 1  # ks [1, 4] gives two li-yau
         for chk in report["checks"]:
             scale = scales[chk["name"]](chk["context"])
-            assert chk["slack"] == bounds.discrete_slack(h, scale), chk["name"]
+            assert chk["slack"] == slack(scale), chk["name"]
+
+    def test_out_of_range_ks_are_check_errors(self, tmp_path, capsys):
+        # k beyond the 250 values of the box (or k = 250, which needs
+        # lambda_251) is one ValueError entry per check, and verify exits 3
+        cfg = box_config(checks=[
+            {"name": "li-yau", "ks": [251]},
+            {"name": "shifted-sum-upper", "ks": [251]},
+            {"name": "ratio-bounds", "ks": [250]},
+            {"name": "yang", "ks": [250]},
+            {"name": "yang-corollaries", "ks": [250]},
+        ])
+        report = harness.run_scenario(cfg)
+        assert report["checks"] == [] and report["overall_pass"]
+        assert report["check_errors"] == [
+            {"check": name, "error": "ValueError", "message": message, "k": k}
+            for name, k, message in [
+                ("li-yau", 251, "need 1 <= k <= 250, got 251"),
+                ("shifted-sum-upper", 251, "need 1 <= k <= 250, got 251"),
+                ("ratio-bounds", 250, "need 1 <= k <= 249 for lambda_(k+1), got 250"),
+                ("yang", 250, "need 1 <= k <= 249 for lambda_(k+1), got 250"),
+                ("yang-corollaries", 250, "need 1 <= k <= 249 for lambda_(k+1), got 250"),
+            ]]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["verify", "--config", str(cfg_path)]) == 3
 
     def test_eigenfunction_slacks_pinned(self):
         # each eigenfunction entry's slack, written out
@@ -394,10 +429,20 @@ class TestCli:
         ({"spectrum": {"type": "box", "lengths": 5, "count": 10}}, "'lengths'"),
         ({"spectrum": {"type": "box", "lengths": [1.0, "1.0"], "count": 10}}, "'lengths'"),
         (grid_config(reference={"type": "box", "lengths": 5}), "'lengths'"),
+        (grid_config(eigenfunction={"ode": "no"}), "'eigenfunction.ode'"),
+        (grid_config(eigenfunction={"chiti": 1}), "'eigenfunction.chiti'"),
+        (grid_config(eigenfunction={"comparison": None}), "'eigenfunction.comparison'"),
+        (grid_config(eigenfunction={"p": -1}), "'eigenfunction.p'"),
+        (grid_config(eigenfunction={"p": 0}), "'eigenfunction.p'"),
+        (grid_config(eigenfunction={"p": "x"}), "'eigenfunction.p'"),
+        (grid_config(eigenfunction={"p": True}), "'eigenfunction.p'"),
+        (grid_config(eigenfunction={"p": float("inf")}), "'eigenfunction.p'"),
     ], ids=["rectangle-b", "box-lengths", "disk-radius", "domain-h", "gauge-B", "list",
             "domain-number", "gauge-string", "solver-number", "eigenfunction-bool", "slack",
             "chi-number", "chi-short", "center-number", "center-strings", "center-nan",
-            "lengths-number", "lengths-string", "reference-lengths-number"])
+            "lengths-number", "lengths-string", "reference-lengths-number", "ode-string",
+            "chiti-number", "comparison-null", "p-negative", "p-zero", "p-string", "p-bool",
+            "p-inf"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, command, config, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))

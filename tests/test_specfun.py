@@ -199,6 +199,22 @@ class TestConstantsTable:
         assert set(built) == {(n, p) for n in (40, 80) for p in (1.0, 2.0, 3.7)}
         assert max(built.values()) == 1
 
+    def test_first_zero_found_once_per_order(self, monkeypatch):
+        searched = collections.Counter()
+        bessel_zeros = specfun.bessel_zeros
+
+        def counting(order, x_max):
+            searched[order, x_max] += 1
+            return bessel_zeros(order, x_max)
+
+        monkeypatch.setattr(specfun, "bessel_zeros", counting)
+        specfun.bessel_zero.cache_clear()
+        for _ in range(3):
+            for d in (2, 3, 7):
+                constants_table(d, p_list=(1.0, 2.0))
+        assert {order for order, _ in searched} == {0.0, 0.5, 2.5}
+        assert max(searched.values()) == 1
+
     def test_cached_rule_is_read_only_and_exact(self):
         x, w = specfun._jacobi_rule(40, 2.5)
         assert not x.flags.writeable and not w.flags.writeable
