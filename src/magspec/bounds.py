@@ -6,6 +6,11 @@ still passes, flagged as a tolerance pass.  Each check computes its own
 slack from the size of its inequality: ``discrete_slack(h, scale)`` on a
 grid of spacing ``h``, which absorbs the discretization error, and
 ``ANALYTIC_SLACK_RTOL * |scale|`` on an exact spectrum (``h`` None).
+
+Berezin--Li--Yau bounds the Riesz mean by the Weyl term,
+sum_j (lambda - lambda_j)_+ <= (2/(d+2)) v_d (2 pi)^{-d} |Omega| lambda^{1+d/2},
+with v_d the volume of the unit ball.  Li--Yau is its Legendre transform,
+sum_{j<=k} lambda_j >= 4 pi^2 (d/(d+2)) (v_d |Omega|)^{-2/d} k^{1+2/d}.
 """
 
 from __future__ import annotations
@@ -118,10 +123,11 @@ def legendre_transform_riesz(spec: Spectrum, p: float) -> float:
 
 def check_berezin_li_yau(spec: Spectrum, measure: float, lam: float, *,
                          h: float | None = None) -> BoundCheck:
-    """Riesz mean <= (2/(d+2)) v_d |Omega| lambda^{1+d/2}."""
+    """Riesz mean <= (2/(d+2)) v_d (2 pi)^{-d} |Omega| lambda^{1+d/2}."""
     d = spec.d
     lhs = riesz_mean(spec, lam)
-    rhs = 2.0 / (d + 2) * unit_ball_volume(d) * measure * lam ** (1 + d / 2)
+    rhs = 2.0 / (d + 2) * unit_ball_volume(d) / (2 * math.pi) ** d * measure \
+        * lam ** (1 + d / 2)
     return _make_check(
         "berezin-li-yau", lhs, rhs, rhs - lhs, _slack(h, rhs),
         {"lambda": lam, "d": d, "measure": measure},

@@ -69,8 +69,6 @@ def _cmd_verify(args) -> int:
     report = harness.run_scenario(config)
     if args.out:
         harness.write_report(report, args.out)
-        csv_path = Path(args.out).with_suffix(".csv")
-        harness.write_spectrum_csv(report["spectrum"]["values"], csv_path)
     for chk in report["checks"]:
         status = "PASS" if chk["passed"] else "FAIL"
         if not chk["applicable"]:

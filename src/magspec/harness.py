@@ -102,15 +102,30 @@ def _object(block: dict, key: str) -> dict:
     return value
 
 
+def _finite(x) -> bool:
+    """Whether x is a finite number; a boolean is not one."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max
+
+
+def _positive_int(value, key: str) -> None:
+    """Reject a value of ``key`` that is not an integer >= 1; a boolean is not one."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+        raise InputDataError(f"{key!r} must be an integer >= 1, got {value!r}")
+
+
+def _positive_number(value, key: str) -> None:
+    """Reject a value of ``key`` that is not a finite number > 0."""
+    if not (_finite(value) and value > 0):
+        raise InputDataError(f"{key!r} must be a finite positive number, got {value!r}")
+
+
 def _number_list(block: dict, key: str, sizes: range) -> None:
     """Reject a value under ``key`` that is not a list of finite numbers of a size in ``sizes``."""
     if key not in block:
         return
     value = block[key]
-    if not isinstance(value, list) or len(value) not in sizes or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max
-            for x in value):
+    if not isinstance(value, list) or len(value) not in sizes or not all(map(_finite, value)):
         count = sizes.start if len(sizes) == 1 else f"{sizes.start} to {sizes[-1]}"
         raise InputDataError(f"{key!r} must be a list of {count} finite numbers, got {value!r}")
 
@@ -132,12 +147,9 @@ def validate_config(config: dict) -> None:
     for key in ("chiti", "comparison", "ode"):
         if not isinstance(eig.get(key, False), bool):
             raise InputDataError(f"'eigenfunction.{key}' must be true or false, got {eig[key]!r}")
-    p = eig.get("p", 2.0)
-    if not (isinstance(p, (int, float)) and not isinstance(p, bool)
-            and 0 < p <= sys.float_info.max):
-        raise InputDataError(f"'eigenfunction.p' must be a finite positive number, got {p!r}")
-    if _object(config, "reference").get("type") == "box":
-        _number_list(config["reference"], "lengths", range(2, 6))
+    _positive_number(eig.get("p", 2.0), "eigenfunction.p")
+    if "reference" in config:
+        _validate_reference(_object(config, "reference"))
     checks = config.get("checks", [])
     if not isinstance(checks, list):
         raise InputDataError(f"'checks' must be a list, got {checks!r}")
@@ -165,23 +177,41 @@ def validate_config(config: dict) -> None:
             _number_list(spec_src["gauge"], "chi_coeffs", range(2, 4))
         if _object(spec_src, "potential").get("kind") == "radial_quadratic":
             _number_list(spec_src["potential"], "center", range(2, 3))
-        if int(_object(spec_src, "solver").get("k", 1)) < 1:
-            raise InputDataError("solver k must be >= 1")
+        B = _object(spec_src, "gauge").get("B", 0.0)
+        if not _finite(B):
+            raise InputDataError(f"'gauge.B' must be a finite number, got {B!r}")
+        _positive_int(_object(spec_src, "solver").get("k", 10), "solver.k")
     else:
         _required(spec_src, f"{kind} spectrum", "count", "lengths" if kind == "box" else "radius")
+        _positive_int(spec_src["count"], "count")
         if kind == "box":
             _number_list(spec_src, "lengths", range(2, 6))
+        else:
+            _positive_number(spec_src["radius"], "radius")
+
+
+def _validate_reference(ref: dict) -> None:
+    """Reject a convergence reference that ``_analytic_spectrum`` could not build."""
+    kind = ref.get("type")
+    if kind == "box":
+        _required(ref, "box reference", "lengths")
+        _number_list(ref, "lengths", range(2, 6))
+        if min(ref["lengths"]) <= 0:
+            raise InputDataError(f"'reference.lengths' must be positive, got {ref['lengths']!r}")
+    elif kind == "disk":
+        _positive_number(*_required(ref, "disk reference", "radius"), "reference.radius")
+    else:
+        raise InputDataError(f"'reference.type' must be box or disk, got {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # spectrum construction
 
 def _analytic_spectrum(src: dict, count: int) -> Spectrum:
-    if src.get("type") == "box":
-        return analytic.box_spectrum(*_required(src, "box", "lengths"), count)
-    if src.get("type") == "disk":
-        return analytic.disk_spectrum(*map(float, _required(src, "disk", "radius")), count)
-    raise InputDataError(f"unknown reference type {src.get('type')!r}")
+    """The exact spectrum of a validated ``box`` or ``disk`` block."""
+    if src["type"] == "box":
+        return analytic.box_spectrum(src["lengths"], count)
+    return analytic.disk_spectrum(src["radius"], count)
 
 
 def _build_spectrum(config: dict) -> tuple[Spectrum, list[EigenPair], float]:

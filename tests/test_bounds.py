@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 import magspec as ms
 from magspec import bounds
@@ -77,7 +78,23 @@ class TestBerezinLiYau:
         lam = 5 * np.pi**2
         chk = ms.check_berezin_li_yau(square_spectrum, 1.0, lam)
         assert chk.lhs == pytest.approx(3 * np.pi**2, rel=1e-12)
-        assert chk.rhs == pytest.approx(0.5 * np.pi * lam**2, rel=1e-12)
+        # (2/(d+2)) v_d (2 pi)^{-d} |Omega| lam^2 = lam^2/(8 pi) = 96.89 at d = 2
+        assert chk.rhs == pytest.approx(lam**2 / (8 * np.pi), rel=1e-12)
+        assert chk.rhs == pytest.approx(96.89, abs=5e-3)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_li_yau_is_its_legendre_transform(self, d):
+        # the Li-Yau bound on sum_{j<=k} lambda_j is sup_lam (k lam - rhs(lam)),
+        # rhs the Berezin-Li-Yau bound on the Riesz mean, here maximised
+        # numerically; eigenvalues far above every lam keep the Riesz mean 0
+        spec = _toy_spectrum(np.full(400, 1e12), d=d)
+        measure = 0.7
+
+        for k in (1, 7, 50, 400):
+            best = optimize.minimize_scalar(
+                lambda lam: ms.check_berezin_li_yau(spec, measure, lam).rhs - k * lam,
+                bounds=(0.0, 1e6), method="bounded", options={"xatol": 1e-8})
+            assert ms.check_li_yau(spec, measure, k).lhs == pytest.approx(-best.fun, rel=1e-9)
 
 
 class TestLiYau:

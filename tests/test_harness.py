@@ -153,7 +153,8 @@ class TestRunScenario:
         v_d = report["constants"]["ball_volume"]
         top = lambda c: vals[c["k"]]  # lambda_(k+1)
         scales = {
-            "berezin-li-yau": lambda c: 2 / (d + 2) * v_d * measure * c["lambda"] ** (1 + d / 2),
+            "berezin-li-yau": lambda c: 2 / (d + 2) * v_d / (2 * np.pi) ** d * measure
+            * c["lambda"] ** (1 + d / 2),
             "li-yau": lambda c: float(vals[: c["k"]].sum()),
             "riesz-mean-lower": lambda c: c["lambda"] ** (1 + d / 2) / vals[0] ** (d / 2),
             "shifted-sum-upper": lambda c: vals[0] * c["k"] ** (1 + 2 / d),
@@ -347,7 +348,21 @@ class TestCli:
         assert code == 0
         printed = capsys.readouterr().out
         assert "PASS" in printed and "overall: pass" in printed
-        assert out_path.is_file() and out_path.with_suffix(".csv").is_file()
+        assert out_path.is_file() and not out_path.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("config", [box_config(), grid_config(h=1 / 16)],
+                             ids=["box", "grid"])
+    def test_verify_report_holds_the_spectrum_export(self, tmp_path, capsys, config):
+        # the report's values are the `spectrum --out` CSV, float for float
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        report_path, csv_path = tmp_path / "report.json", tmp_path / "spec.csv"
+        assert cli.main(["verify", "--config", str(cfg_path), "--out", str(report_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.json"]
+        assert cli.main(["spectrum", "--config", str(cfg_path), "--out", str(csv_path)]) == 0
+        values = json.loads(report_path.read_text())["spectrum"]["values"]
+        exported = [float(line) for line in csv_path.read_text().splitlines()]
+        assert values and values == exported
 
     def test_spectrum_command_csv(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -437,12 +452,35 @@ class TestCli:
         (grid_config(eigenfunction={"p": "x"}), "'eigenfunction.p'"),
         (grid_config(eigenfunction={"p": True}), "'eigenfunction.p'"),
         (grid_config(eigenfunction={"p": float("inf")}), "'eigenfunction.p'"),
+        (grid_config(reference=[1.0]), "'reference'"),
+        (grid_config(reference={}), "'reference.type'"),
+        (grid_config(reference={"type": "annulus"}), "'reference.type'"),
+        (grid_config(reference={"type": "disk"}), "'radius'"),
+        (grid_config(reference={"type": "disk", "radius": -1.0}), "'reference.radius'"),
+        (grid_config(reference={"type": "disk", "radius": True}), "'reference.radius'"),
+        (grid_config(reference={"type": "box"}), "'lengths'"),
+        (grid_config(reference={"type": "box", "lengths": [1.0, -1.0]}), "'reference.lengths'"),
+        (grid_config(k=True), "'solver.k'"),
+        (grid_config(k=6.9), "'solver.k'"),
+        (grid_config(k=0), "'solver.k'"),
+        ({"spectrum": {"type": "box", "lengths": [1.0, 1.0], "count": 7.9}}, "'count'"),
+        ({"spectrum": {"type": "disk", "radius": 1.0, "count": True}}, "'count'"),
+        ({"spectrum": {"type": "disk", "radius": "1.0", "count": 10}}, "'radius'"),
+        (grid_config(B=True), "'gauge.B'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "gauge": {"kind": "uniform", "B": float("nan")}}), "'gauge.B'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "gauge": {"kind": "linear_gauge_shift", "B": "5"}}), "'gauge.B'"),
     ], ids=["rectangle-b", "box-lengths", "disk-radius", "domain-h", "gauge-B", "list",
             "domain-number", "gauge-string", "solver-number", "eigenfunction-bool", "slack",
             "chi-number", "chi-short", "center-number", "center-strings", "center-nan",
             "lengths-number", "lengths-string", "reference-lengths-number", "ode-string",
             "chiti-number", "comparison-null", "p-negative", "p-zero", "p-string", "p-bool",
-            "p-inf"])
+            "p-inf", "reference-list", "reference-empty", "reference-annulus",
+            "reference-disk-radius", "reference-radius-negative", "reference-radius-bool",
+            "reference-box-lengths", "reference-lengths-negative", "k-bool", "k-float",
+            "k-zero", "count-float", "count-bool", "radius-string", "B-bool", "B-nan",
+            "B-string"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, command, config, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
