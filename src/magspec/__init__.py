@@ -29,7 +29,6 @@ from .domain import (
     Rectangle,
     build_domain,
     link_phase,
-    sample_potential,
 )
 from .eigensolve import EigenPair, Spectrum, lowest_eigenpairs
 from .eigfn import (

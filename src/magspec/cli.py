@@ -47,9 +47,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    config = _load_config(args.config)
-    harness.validate_config({**config, "checks": []})  # this command runs no checks
-    values = harness._build_spectrum(config)[0].values
+    scenario = harness.parse_config(_load_config(args.config))
+    values = harness.build_spectrum(scenario.spectrum)[0].values
     harness.write_spectrum_csv(values, args.out)
     if args.out:
         print(f"wrote {len(values)} eigenvalues to {args.out}")

@@ -25,7 +25,6 @@ __all__ = [
     "PotentialSpec",
     "build_domain",
     "link_phase",
-    "sample_potential",
 ]
 
 
@@ -291,15 +290,3 @@ class PotentialSpec:
         ii, jj = np.nonzero(dom.mask)
         return vals[ii, jj]
 
-
-def sample_potential(pot: PotentialSpec, point, dom: GridDomain | None = None) -> float:
-    """Potential value at a single point; grid-file potentials require the domain."""
-    x, y = float(point[0]), float(point[1])
-    if pot.kind != "grid_file":
-        return float(pot.formula(x, y))
-    if dom is None:
-        raise ValueError("grid-file potentials are defined at grid nodes; pass the domain")
-    k = np.flatnonzero(np.abs(dom.points - (x, y)).max(axis=1) <= 1e-9 * dom.h)
-    if k.size == 0:
-        raise ValueError(f"point {point} is not an interior grid node")
-    return float(pot.sample_on(dom)[k[0]])

@@ -2,8 +2,10 @@
 
 A scenario is described by a JSON-friendly dict: a spectrum source (analytic
 box/disk, or a grid operator to solve), a list of checks with parameters, and
-optional eigenfunction analyses.  Reports are deterministic: re-running a
-scenario reproduces every field except the ``timing`` block.
+optional eigenfunction analyses.  ``parse_config`` reads and checks every key
+once; later steps read only its ``Scenario``, and reports echo the raw dict.
+Reports are deterministic: re-running a scenario reproduces every field except
+the ``timing`` block.
 """
 
 from __future__ import annotations
@@ -12,23 +14,25 @@ import dataclasses
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic, bounds, eigfn
 from .domain import Annulus, Disk, GaugeSpec, LShape, MaskFile, PotentialSpec, Rectangle, \
-    build_domain
+    Shape, build_domain
 from .eigensolve import EigenPair, Spectrum, lowest_eigenpairs
 from .errors import InputDataError, NumericalError, TruncationError
 from .operator import assemble
 from .specfun import ConstantsTable, constants_table
 
 __all__ = [
+    "parse_config",
     "parse_shape",
     "parse_gauge",
     "parse_potential",
-    "validate_config",
+    "build_spectrum",
     "run_scenario",
     "convergence_study",
     "write_report",
@@ -45,53 +49,52 @@ _COMPACT_RESOLVENT_NOTE = (
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _required(block: dict, where: str, *keys: str) -> list:
-    """The values of ``keys`` in a config block, or an InputDataError naming a missing one."""
+@dataclass(frozen=True)
+class Exact:
+    """A box or disk block: a spectrum of ``count`` values, or a convergence reference."""
+
+    kind: str
+    size: tuple[float, ...] | float  # box lengths or disk radius
+    count: int | None = None
+
+    def spectrum(self, count: int) -> Spectrum:
+        if self.kind == "box":
+            return analytic.box_spectrum(self.size, count)
+        return analytic.disk_spectrum(self.size, count)
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A grid block: the operator to assemble and the solver settings."""
+
+    shape: Shape
+    h: float
+    gauge: GaugeSpec
+    potential: PotentialSpec
+    k: int
+    tol: float
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A parsed config; each check is (name, ks or lambdas, lambda indices)."""
+
+    spectrum: Exact | Grid
+    checks: list[tuple[str, tuple, tuple]]
+    eigenfunction: dict | None
+    reference: Exact | None
+
+
+def _required(block: dict, where: str, *keys: str, others: tuple | None = None) -> list:
+    """The values of ``keys`` in a config block.  An InputDataError names a missing
+    key or, when ``others`` are given, a key in neither: one the block's kind does not read."""
     for key in keys:
         if key not in block:
             raise InputDataError(f"{where} needs the key {key!r}")
+    extra = sorted(set(block) - set(keys) - set(others)) if others is not None else []
+    if extra:
+        raise InputDataError(f"{where} does not read the key {extra[0]!r}")
     return [block[key] for key in keys]
-
-
-def parse_shape(d: dict):
-    kind = d.get("shape")
-    if kind == "rectangle":
-        return Rectangle(*map(float, _required(d, kind, "a", "b")))
-    if kind == "disk":
-        return Disk(*map(float, _required(d, kind, "radius")))
-    if kind == "lshape":
-        return LShape(*map(float, _required(d, kind, "a", "b", "cut")))
-    if kind == "annulus":
-        return Annulus(*map(float, _required(d, kind, "r_inner", "r_outer")))
-    if kind == "mask_file":
-        return MaskFile(*map(str, _required(d, kind, "path")))
-    raise InputDataError(f"unknown shape kind {kind!r}")
-
-
-def parse_gauge(d: dict | None) -> GaugeSpec:
-    if not d or d.get("kind", "none") == "none":
-        return GaugeSpec.none()
-    kind = d["kind"]
-    if kind == "uniform":
-        return GaugeSpec.uniform(*map(float, _required(d, "uniform gauge", "B")))
-    if kind == "linear_gauge_shift":
-        c = d.get("chi_coeffs", (0.0, 0.0, 0.0))
-        return GaugeSpec.linear_gauge_shift(*[float(x) for x in c], B=float(d.get("B", 0.0)))
-    raise InputDataError(f"unknown gauge kind {kind!r}")
-
-
-def parse_potential(d: dict | None) -> PotentialSpec:
-    if not d or d.get("kind", "zero") == "zero":
-        return PotentialSpec.zero()
-    kind = d["kind"]
-    if kind == "constant":
-        return PotentialSpec.constant(*map(float, _required(d, kind, "c")))
-    if kind == "radial_quadratic":
-        (a,) = _required(d, kind, "a")
-        return PotentialSpec.radial_quadratic(float(a), d.get("center", (0.0, 0.0)))
-    if kind == "grid_file":
-        return PotentialSpec.grid_file(*map(str, _required(d, kind, "path")))
-    raise InputDataError(f"unknown potential kind {kind!r}")
 
 
 def _object(block: dict, key: str) -> dict:
@@ -102,156 +105,179 @@ def _object(block: dict, key: str) -> dict:
     return value
 
 
-def _finite(x) -> bool:
-    """Whether x is a finite number; a boolean is not one."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and abs(x) <= sys.float_info.max
+#: Kind of number -> (test on a finite number, how a message names it).
+_NUMBERS = {
+    "real": (lambda x: True, "a finite number"),
+    "positive": (lambda x: x > 0, "a finite positive number"),
+    "nonnegative": (lambda x: x >= 0, "a finite number >= 0"),
+    "count": (lambda x: isinstance(x, int) and x >= 1, "an integer >= 1"),
+}
+_ANY_LENGTH = range(sys.maxsize)
 
 
-def _positive_int(value, key: str) -> None:
-    """Reject a value of ``key`` that is not an integer >= 1; a boolean is not one."""
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
-        raise InputDataError(f"{key!r} must be an integer >= 1, got {value!r}")
+def _number(value, key: str, kind: str = "real", sizes: range | None = None):
+    """``value`` as a float (an int for a "count"), or with ``sizes`` a tuple of
+    them whose length lies in ``sizes``; else an InputDataError naming ``key``."""
+    test, what = _NUMBERS[kind]
+    if sizes is not None:
+        if not isinstance(value, list) or len(value) not in sizes:
+            count = "" if sizes is _ANY_LENGTH else f"{sizes.start} to {sizes[-1]} "
+            raise InputDataError(f"{key!r} must be a list of {count}values, each {what}, "
+                                 f"got {value!r}")
+        return tuple(_number(x, key, kind) for x in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max or not test(value):
+        raise InputDataError(f"{key!r} must be {what}, got {value!r}")
+    return value if kind == "count" else float(value)
 
 
-def _positive_number(value, key: str) -> None:
-    """Reject a value of ``key`` that is not a finite number > 0."""
-    if not (_finite(value) and value > 0):
-        raise InputDataError(f"{key!r} must be a finite positive number, got {value!r}")
+#: Shape kind -> its class and the domain keys of its arguments, in order.
+_SHAPES = {"rectangle": (Rectangle, "a", "b"), "disk": (Disk, "radius"),
+           "lshape": (LShape, "a", "b", "cut"), "annulus": (Annulus, "r_inner", "r_outer"),
+           "mask_file": (MaskFile, "path")}
 
 
-def _number_list(block: dict, key: str, sizes: range) -> None:
-    """Reject a value under ``key`` that is not a list of finite numbers of a size in ``sizes``."""
-    if key not in block:
-        return
-    value = block[key]
-    if not isinstance(value, list) or len(value) not in sizes or not all(map(_finite, value)):
-        count = sizes.start if len(sizes) == 1 else f"{sizes.start} to {sizes[-1]}"
-        raise InputDataError(f"{key!r} must be a list of {count} finite numbers, got {value!r}")
+def parse_shape(d: dict) -> Shape:
+    """The shape of a grid ``domain`` block, whose other key is ``h``."""
+    kind = d.get("shape")
+    if kind not in _SHAPES:
+        raise InputDataError(f"unknown shape kind {kind!r}")
+    cls, *keys = _SHAPES[kind]
+    values = _required(d, f"a {kind} domain", *keys, others=("shape", "h"))
+    if cls is MaskFile:
+        return MaskFile(str(values[0]))
+    return cls(*(_number(x, f"domain.{key}", "positive") for key, x in zip(keys, values)))
 
 
-#: Check parameter key -> (accepted element types, smallest accepted value).
-_CHECK_PARAMS = {"ks": (int, 1), "lambda_indices": (int, 1), "lambdas": ((int, float), 0)}
+def parse_gauge(d: dict | None) -> GaugeSpec:
+    d = d or {}
+    kind = d.get("kind", "none")
+    if kind == "none":
+        _required(d, "a gauge of kind 'none'", others=("kind",))
+        return GaugeSpec.none()
+    if kind == "uniform":
+        (B,) = _required(d, "a uniform gauge", "B", others=("kind",))
+        return GaugeSpec.uniform(_number(B, "gauge.B"))
+    if kind == "linear_gauge_shift":
+        _required(d, "a linear_gauge_shift gauge", others=("kind", "B", "chi_coeffs"))
+        chi = _number(d.get("chi_coeffs", [0.0, 0.0, 0.0]), "chi_coeffs", sizes=range(2, 4))
+        return GaugeSpec.linear_gauge_shift(*chi, B=_number(d.get("B", 0.0), "gauge.B"))
+    raise InputDataError(f"unknown gauge kind {kind!r}")
 
 
-def validate_config(config: dict) -> None:
-    """Reject a malformed config before any work, naming the offending key."""
-    if "slack" in config:
-        raise InputDataError("config key 'slack' is not supported: slacks are fixed")
-    spec_src = config.get("spectrum")
-    if not isinstance(spec_src, dict) or spec_src.get("type") not in ("box", "disk", "grid"):
-        raise InputDataError("config needs a 'spectrum' block of type box, disk or grid")
-    eig = _object(config, "eigenfunction")
+def parse_potential(d: dict | None) -> PotentialSpec:
+    d = d or {}
+    kind = d.get("kind", "zero")
+    if kind == "zero":
+        _required(d, "a potential of kind 'zero'", others=("kind",))
+        return PotentialSpec.zero()
+    if kind == "constant":
+        (c,) = _required(d, "a constant potential", "c", others=("kind",))
+        return PotentialSpec.constant(_number(c, "potential.c"))
+    if kind == "radial_quadratic":
+        (a,) = _required(d, "a radial_quadratic potential", "a", others=("kind", "center"))
+        center = _number(d.get("center", [0.0, 0.0]), "center", sizes=range(2, 3))
+        return PotentialSpec.radial_quadratic(_number(a, "potential.a"), center)
+    if kind == "grid_file":
+        (path,) = _required(d, "a grid_file potential", "path", others=("kind",))
+        return PotentialSpec.grid_file(str(path))
+    raise InputDataError(f"unknown potential kind {kind!r}")
+
+
+def _grid(src: dict) -> Grid:
+    _required(src, "grid spectrum", "domain")
+    domain, solver = _object(src, "domain"), _object(src, "solver")
+    (h,) = _required(domain, "grid domain", "h")
+    _required(solver, "the solver", others=("k", "tol"))
+    return Grid(parse_shape(domain), _number(h, "domain.h", "positive"),
+                parse_gauge(_object(src, "gauge")), parse_potential(_object(src, "potential")),
+                _number(solver.get("k", 10), "solver.k", "count"),
+                _number(solver.get("tol", 1e-10), "solver.tol", "positive"))
+
+
+def _exact(block: dict, where: str) -> Exact:
+    """A box or disk ``spectrum`` block, with its ``count``, or a convergence ``reference``."""
+    prefix = "reference." if where == "reference" else ""
+    kind = block.get("type")
+    if kind not in ("box", "disk"):
+        raise InputDataError(f"'{prefix}type' must be box or disk, got {kind!r}")
+    count = _number(*_required(block, f"{kind} {where}", "count"), "count", "count") \
+        if where == "spectrum" else None
+    key = "lengths" if kind == "box" else "radius"
+    size = _number(*_required(block, f"{kind} {where}", key), prefix + key, "positive",
+                   range(2, 6) if kind == "box" else None)
+    return Exact(kind, size, count)
+
+
+#: Check parameter key -> the kind of number each of its entries must be.
+_CHECK_PARAMS = {"ks": "count", "lambdas": "nonnegative", "lambda_indices": "count"}
+
+
+def _check(chk, grid: bool) -> tuple[str, tuple, tuple]:
+    if not isinstance(chk, dict):
+        raise InputDataError(f"each entry of 'checks' must be a JSON object, got {chk!r}")
+    name = chk.get("name")
+    if not isinstance(name, str) or name not in bounds.CHECKS:
+        raise InputDataError(f"unknown check {name!r}")
+    if name == "ground-state-riesz-lower" and not grid:
+        raise InputDataError(f"{name} needs a grid scenario with computed eigenfunctions")
+    ks, lambdas, indices = (_number(chk.get(key, []), key, kind, _ANY_LENGTH)
+                            for key, kind in _CHECK_PARAMS.items())
+    return (name, ks, ()) if bounds.CHECKS[name][0] == "ks" else (name, lambdas, indices)
+
+
+def _eigenfunction(eig: dict) -> dict | None:
+    """The analyses of an ``eigenfunction`` block; None when it is absent or empty."""
     if "tol" in eig:
         raise InputDataError("config key 'eigenfunction.tol' is not supported: slacks are fixed")
-    for key in ("chiti", "comparison", "ode"):
-        if not isinstance(eig.get(key, False), bool):
-            raise InputDataError(f"'eigenfunction.{key}' must be true or false, got {eig[key]!r}")
-    _positive_number(eig.get("p", 2.0), "eigenfunction.p")
-    if "reference" in config:
-        _validate_reference(_object(config, "reference"))
+    flags = {key: eig.get(key, default)
+             for key, default in (("chiti", True), ("comparison", True), ("ode", False))}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise InputDataError(f"'eigenfunction.{key}' must be true or false, got {value!r}")
+    p = _number(eig.get("p", 2.0), "eigenfunction.p", "positive")
+    return {**flags, "p": p} if eig else None
+
+
+def parse_config(config: dict) -> Scenario:
+    """Read, check and convert every key of a config once, or name a malformed one."""
+    if "slack" in config:
+        raise InputDataError("config key 'slack' is not supported: slacks are fixed")
+    src = config.get("spectrum")
+    if not isinstance(src, dict) or src.get("type") not in ("box", "disk", "grid"):
+        raise InputDataError("config needs a 'spectrum' block of type box, disk or grid")
+    spectrum = _grid(src) if src["type"] == "grid" else _exact(src, "spectrum")
     checks = config.get("checks", [])
     if not isinstance(checks, list):
         raise InputDataError(f"'checks' must be a list, got {checks!r}")
-    for chk in checks:
-        if not isinstance(chk, dict):
-            raise InputDataError(f"each entry of 'checks' must be a JSON object, got {chk!r}")
-        name = chk.get("name")
-        if not isinstance(name, str) or name not in bounds.CHECKS:
-            raise InputDataError(f"unknown check {name!r}")
-        if name == "ground-state-riesz-lower" and spec_src["type"] != "grid":
-            raise InputDataError("ground-state-riesz-lower needs a grid scenario with "
-                                 "computed eigenfunctions")
-        for key, (types, low) in _CHECK_PARAMS.items():
-            values = chk.get(key, [])
-            if not isinstance(values, list) or not all(
-                    isinstance(x, types) and not isinstance(x, bool) and x >= low for x in values):
-                wanted = "integers" if types is int else "numbers"
-                raise InputDataError(f"check {name!r} key {key!r} must be a list of {wanted} "
-                                     f">= {low}, got {values!r}")
-    kind = spec_src["type"]
-    if kind == "grid":
-        _required(spec_src, "grid spectrum", "domain")
-        _required(_object(spec_src, "domain"), "grid domain", "h")
-        if _object(spec_src, "gauge").get("kind") == "linear_gauge_shift":
-            _number_list(spec_src["gauge"], "chi_coeffs", range(2, 4))
-        if _object(spec_src, "potential").get("kind") == "radial_quadratic":
-            _number_list(spec_src["potential"], "center", range(2, 3))
-        B = _object(spec_src, "gauge").get("B", 0.0)
-        if not _finite(B):
-            raise InputDataError(f"'gauge.B' must be a finite number, got {B!r}")
-        _positive_int(_object(spec_src, "solver").get("k", 10), "solver.k")
-    else:
-        _required(spec_src, f"{kind} spectrum", "count", "lengths" if kind == "box" else "radius")
-        _positive_int(spec_src["count"], "count")
-        if kind == "box":
-            _number_list(spec_src, "lengths", range(2, 6))
-        else:
-            _positive_number(spec_src["radius"], "radius")
-
-
-def _validate_reference(ref: dict) -> None:
-    """Reject a convergence reference that ``_analytic_spectrum`` could not build."""
-    kind = ref.get("type")
-    if kind == "box":
-        _required(ref, "box reference", "lengths")
-        _number_list(ref, "lengths", range(2, 6))
-        if min(ref["lengths"]) <= 0:
-            raise InputDataError(f"'reference.lengths' must be positive, got {ref['lengths']!r}")
-    elif kind == "disk":
-        _positive_number(*_required(ref, "disk reference", "radius"), "reference.radius")
-    else:
-        raise InputDataError(f"'reference.type' must be box or disk, got {kind!r}")
+    return Scenario(spectrum, [_check(chk, isinstance(spectrum, Grid)) for chk in checks],
+                    _eigenfunction(_object(config, "eigenfunction")),
+                    _exact(_object(config, "reference"), "reference")
+                    if "reference" in config else None)
 
 
 # ---------------------------------------------------------------------------
 # spectrum construction
 
-def _analytic_spectrum(src: dict, count: int) -> Spectrum:
-    """The exact spectrum of a validated ``box`` or ``disk`` block."""
-    if src["type"] == "box":
-        return analytic.box_spectrum(src["lengths"], count)
-    return analytic.disk_spectrum(src["radius"], count)
+def build_spectrum(source: Exact | Grid) -> tuple[Spectrum, list[EigenPair]]:
+    """The spectrum of a parsed ``spectrum`` block, and its eigenpairs ([] when exact)."""
+    if isinstance(source, Exact):
+        return source.spectrum(source.count), []
+    op = assemble(build_domain(source.shape, source.h), source.gauge, source.potential)
+    return lowest_eigenpairs(op, source.k, source.tol)
 
 
-def _build_spectrum(config: dict) -> tuple[Spectrum, list[EigenPair], float]:
-    src = config["spectrum"]
-    t0 = time.perf_counter()
-    if src["type"] != "grid":
-        return _analytic_spectrum(src, int(src["count"])), [], time.perf_counter() - t0
-    dom = build_domain(parse_shape(src["domain"]), float(src["domain"]["h"]))
-    gauge = parse_gauge(src.get("gauge"))
-    pot = parse_potential(src.get("potential"))
-    op = assemble(dom, gauge, pot)
-    solver = src.get("solver", {})
-    spec, pairs = lowest_eigenpairs(op, int(solver.get("k", 10)),
-                                    float(solver.get("tol", 1e-10)))
-    return spec, pairs, time.perf_counter() - t0
-
-
-def _resolve_lambdas(chk: dict, spec: Spectrum) -> list[float]:
-    lams = [float(x) for x in chk.get("lambdas", [])]
-    for j in chk.get("lambda_indices", []):
-        j = int(j)
-        if not 1 <= j <= len(spec):
-            raise TruncationError(f"lambda index {j} exceeds computed spectrum length {len(spec)}")
-        lams.append(float(spec.values[j - 1]))
-    return lams
-
-
-def _run_checks(config: dict, spec: Spectrum, pairs: list[EigenPair], h: float | None,
+def _run_checks(checks: list, spec: Spectrum, pairs: list[EigenPair], h: float | None,
                 table: ConstantsTable) -> tuple[list, list]:
-    results = []
-    errors = []
+    results, errors = [], []
     sup = float(np.abs(pairs[0].vector).max()) if pairs else None
-    for chk in config.get("checks", []):
-        name = chk["name"]
+    for name, values, indices in checks:
         param, run = bounds.CHECKS[name]
-        if param == "ks":
-            params = [("k", k) for k in chk.get("ks", [])]
-        else:
-            params = [("lambda", lam) for lam in _resolve_lambdas(chk, spec)]
-        for key, x in params:
+        if indices and max(indices) > len(spec):
+            raise TruncationError(f"lambda index {max(indices)} exceeds computed spectrum "
+                                  f"length {len(spec)}")
+        key = "k" if param == "ks" else "lambda"
+        for x in values + tuple(float(spec.values[j - 1]) for j in indices):
             try:
                 out = run(spec, x, h=h, table=table, sup=sup)
             except (TruncationError, ValueError, NumericalError) as exc:
@@ -262,28 +288,23 @@ def _run_checks(config: dict, spec: Spectrum, pairs: list[EigenPair], h: float |
     return results, errors
 
 
-def _run_eigenfunction(config: dict, spec: Spectrum, pairs: list[EigenPair], h: float | None,
-                       table: ConstantsTable) -> tuple[dict, list]:
-    cfg = config.get("eigenfunction")
-    out: dict = {}
-    checks = []
-    if not cfg or not pairs:
-        return out, checks
-    ground = pairs[0]
-    omega = ground.vector
-    lam = ground.value
+def _run_eigenfunction(eig: dict | None, spec: Spectrum, pairs: list[EigenPair],
+                       h: float | None, table: ConstantsTable) -> tuple[dict, list]:
+    if eig is None or not pairs:
+        return {}, []
+    omega, lam = pairs[0].vector, pairs[0].value
     rep = eigfn.norms(omega, h, p_list=(1.0, 2.0))
-    out["norms"] = {"sup_norm": rep.sup_norm, "lp": {str(p): v for p, v in rep.lp.items()},
-                    "l2_normalized": rep.l2_normalized}
-    out["ground_state_degenerate"] = bool(spec.degeneracy_flags[0]) if len(spec) else False
-    if cfg.get("chiti", True):
-        checks.extend(eigfn.chiti_check(omega, h, lam, spec.d, p=float(cfg.get("p", 2.0)),
-                                        table=table))
-    if cfg.get("comparison", True):
+    out = {"norms": {"sup_norm": rep.sup_norm, "lp": {str(p): v for p, v in rep.lp.items()},
+                     "l2_normalized": rep.l2_normalized},
+           "ground_state_degenerate": bool(spec.degeneracy_flags[0]) if len(spec) else False}
+    checks = []
+    if eig["chiti"]:
+        checks.extend(eigfn.chiti_check(omega, h, lam, spec.d, p=eig["p"], table=table))
+    if eig["comparison"]:
         verdict = eigfn.comparison_check(omega, h, lam, spec.d, spec.measure)
         checks.extend([verdict.inclusion, verdict.domination])
         out["ball_measure"] = verdict.ball_measure
-    if cfg.get("ode", False):
+    if eig["ode"]:
         profile = eigfn.decreasing_rearrangement(omega, h)
         checks.append(eigfn.rearrangement_ode_check(profile, lam, spec.d))
     return out, checks
@@ -315,14 +336,14 @@ def _jsonable(obj):
 def run_scenario(config: dict) -> dict:
     """Execute one scenario: build the spectrum, run every configured check,
     and return a JSON-ready report."""
-    validate_config(config)
+    scenario = parse_config(config)
     t_start = time.perf_counter()
-    spec, pairs, t_solve = _build_spectrum(config)
+    spec, pairs = build_spectrum(scenario.spectrum)
+    t_solve = time.perf_counter() - t_start
     table = constants_table(spec.d, p_list=(1.0, 2.0))
-    src = config["spectrum"]
-    h = float(src["domain"]["h"]) if src["type"] == "grid" else None
-    check_results, errors = _run_checks(config, spec, pairs, h, table)
-    eig_out, eig_checks = _run_eigenfunction(config, spec, pairs, h, table)
+    h = scenario.spectrum.h if isinstance(scenario.spectrum, Grid) else None
+    check_results, errors = _run_checks(scenario.checks, spec, pairs, h, table)
+    eig_out, eig_checks = _run_eigenfunction(scenario.eigenfunction, spec, pairs, h, table)
     check_results = check_results + eig_checks
 
     hard = [c for c in check_results if c.applicable and not c.diagnostic]
@@ -353,41 +374,35 @@ def run_scenario(config: dict) -> dict:
 def convergence_study(config: dict, levels: int) -> dict:
     """Re-run a grid scenario at h, h/2, h/4, ... and report observed
     convergence orders of the lowest eigenvalues."""
-    validate_config(config)
+    scenario = parse_config(config)
     levels = int(levels)
     if levels < 2:
         raise InputDataError(f"need at least 2 refinement levels, got {levels}")
-    src = config["spectrum"]
-    if src["type"] != "grid":
+    grid = scenario.spectrum
+    if not isinstance(grid, Grid):
         raise InputDataError("convergence studies need a grid scenario; analytic spectra are exact")
 
-    h0 = float(src["domain"]["h"])
-    k = int(src.get("solver", {}).get("k", 10))
-    level_values = []
-    failures = []
+    level_values, failures = [], []
     t0 = time.perf_counter()
     for level in range(levels):
-        cfg = {"spectrum": {**src, "domain": {**src["domain"], "h": h0 / 2**level}}}
         try:
-            spec, _, _ = _build_spectrum(cfg)
-            level_values.append(spec.values[:k])
-        except InputDataError:  # a malformed config, not a failure of this level
-            raise
-        except (NumericalError, ValueError) as exc:
-            failures.append({"level": level, "h": h0 / 2**level,
+            spec, _ = build_spectrum(dataclasses.replace(grid, h=grid.h / 2**level))
+        except NumericalError as exc:  # a ValueError is a bad config, not a failed level
+            failures.append({"level": level, "h": grid.h / 2**level,
                              "error": type(exc).__name__, "message": str(exc)})
             break
+        level_values.append(spec.values[:grid.k])
 
     report: dict = {
         "config": _jsonable(config),
-        "levels": [{"h": h0 / 2**i, "values": _jsonable(v)} for i, v in enumerate(level_values)],
+        "levels": [{"h": grid.h / 2**i, "values": _jsonable(v)}
+                   for i, v in enumerate(level_values)],
         "failures": failures,
         "timing": {"total_seconds": time.perf_counter() - t0},
     }
 
-    ref = config.get("reference")
-    if ref and len(level_values) >= 2:
-        exact = _analytic_spectrum(ref, max(4 * k, 50)).values[:k]
+    if scenario.reference and len(level_values) >= 2:
+        exact = scenario.reference.spectrum(max(4 * grid.k, 50)).values[:grid.k]
         report["reference_values"] = _jsonable(exact)
         # errors against the reference
         errors = [np.abs(v - exact) for v in level_values]
@@ -445,17 +460,16 @@ def write_report(report: dict, path: str | Path | None) -> None:
 
     The text is byte for byte ``json.dumps(report, sort_keys=True, indent=2)``
     plus a newline."""
-    text = _indented_json(report) + "\n"
-    if path is None:
-        print(text, end="")
-    else:
-        Path(path).write_text(text)
+    _write(_indented_json(report) + "\n", path)
 
 
 def write_spectrum_csv(values, path: str | Path | None) -> None:
     """One eigenvalue per line, to path, or to stdout when path is None."""
     values = tuple(values)
-    text = ("%.17g\n" * len(values)) % values
+    _write(("%.17g\n" * len(values)) % values, path)
+
+
+def _write(text: str, path: str | Path | None) -> None:
     if path is None:
         print(text, end="")
     else:

@@ -119,12 +119,12 @@ class TestLinkPhase:
 
 class TestPotentials:
     def test_zero_and_constant(self):
-        assert ms.sample_potential(ms.PotentialSpec.zero(), (0.1, 0.9)) == 0.0
-        assert ms.sample_potential(ms.PotentialSpec.constant(3.0), (0.1, 0.9)) == 3.0
+        assert ms.PotentialSpec.zero().formula(0.1, 0.9) == 0.0
+        assert ms.PotentialSpec.constant(3.0).formula(0.1, 0.9) == 3.0
 
     def test_radial_quadratic(self):
         pot = ms.PotentialSpec.radial_quadratic(2.0, center=(0.0, 0.0))
-        assert ms.sample_potential(pot, (0.5, 0.0)) == pytest.approx(0.5)
+        assert pot.formula(0.5, 0.0) == pytest.approx(0.5)
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -141,17 +141,7 @@ class TestPotentials:
         vals = pot.sample_on(dom)
         assert vals.shape == (dom.n,)
         # node (0.25, 0.5) is column 1, row 2
-        assert ms.sample_potential(pot, (0.25, 0.5), dom) == arr[2, 1]
-
-    def test_grid_file_point_off_the_interior_grid_rejected(self, tmp_path):
-        dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 0.25)
-        p = tmp_path / "pot.csv"
-        np.savetxt(p, np.ones((5, 5)), delimiter=",")
-        pot = ms.PotentialSpec.grid_file(str(p))
-        # between nodes, on the boundary, and beyond the bounding box
-        for point in [(0.3, 0.5), (0.0, 0.5), (5.0, 0.5)]:
-            with pytest.raises(ValueError):
-                ms.sample_potential(pot, point, dom)
+        assert vals[dom.index[1, 2]] == arr[2, 1]
 
     def test_grid_file_negative_rejected(self, tmp_path):
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 0.25)

@@ -66,13 +66,32 @@ class TestConfigParsing:
         with pytest.raises(ms.InputDataError):
             harness.parse_potential({"kind": "random"})
 
+    def test_parse_config_typed_values(self):
+        scenario = harness.parse_config(grid_config(
+            h=1 / 8, B=5, eigenfunction={"ode": True},
+            reference={"type": "disk", "radius": 1}))
+        grid = scenario.spectrum
+        assert (grid.shape, grid.h, grid.k, grid.tol) == (ms.Rectangle(1.0, 1.0), 0.125, 6, 1e-10)
+        assert grid.gauge == ms.GaugeSpec.uniform(5.0)
+        assert grid.potential == ms.PotentialSpec.zero()
+        assert scenario.checks == [("ratio-bounds", (1, 2), ()), ("yang", (1, 3), ())]
+        assert scenario.eigenfunction == {"chiti": True, "comparison": True, "ode": True,
+                                          "p": 2.0}
+        assert (scenario.reference.kind, scenario.reference.size) == ("disk", 1.0)
+        box = harness.parse_config(box_config(checks=[
+            {"name": "berezin-li-yau", "lambdas": [100], "lambda_indices": [3]}]))
+        assert (box.spectrum.kind, box.spectrum.size, box.spectrum.count) == ("box", (1.0, 1.0),
+                                                                              250)
+        assert box.checks == [("berezin-li-yau", (100.0,), (3,))]
+        assert box.eigenfunction is None and box.reference is None
+
     def test_validate_rejects_bad_configs(self):
         with pytest.raises(ms.InputDataError):
-            harness.validate_config({})
+            harness.parse_config({})
         with pytest.raises(ms.InputDataError):
-            harness.validate_config(box_config(checks=[{"name": "nonsense"}]))
+            harness.parse_config(box_config(checks=[{"name": "nonsense"}]))
         with pytest.raises(ms.InputDataError):
-            harness.validate_config(box_config(checks=[{"name": "yang", "ks": [0]}]))
+            harness.parse_config(box_config(checks=[{"name": "yang", "ks": [0]}]))
 
 
 class TestRunScenario:
@@ -443,7 +462,7 @@ class TestCli:
                                              "center": [float("nan"), 0.5]}}), "'center'"),
         ({"spectrum": {"type": "box", "lengths": 5, "count": 10}}, "'lengths'"),
         ({"spectrum": {"type": "box", "lengths": [1.0, "1.0"], "count": 10}}, "'lengths'"),
-        (grid_config(reference={"type": "box", "lengths": 5}), "'lengths'"),
+        (grid_config(reference={"type": "box", "lengths": 5}), "'reference.lengths'"),
         (grid_config(eigenfunction={"ode": "no"}), "'eigenfunction.ode'"),
         (grid_config(eigenfunction={"chiti": 1}), "'eigenfunction.chiti'"),
         (grid_config(eigenfunction={"comparison": None}), "'eigenfunction.comparison'"),
@@ -471,6 +490,34 @@ class TestCli:
                                "gauge": {"kind": "uniform", "B": float("nan")}}), "'gauge.B'"),
         (grid_config(spectrum={**grid_config()["spectrum"],
                                "gauge": {"kind": "linear_gauge_shift", "B": "5"}}), "'gauge.B'"),
+        (grid_config(h="0.125"), "'domain.h'"),
+        (grid_config(h=True), "'domain.h'"),
+        (grid_config(h=0), "'domain.h'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "solver": {"k": 6, "tol": "1e-10"}}), "'solver.tol'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "domain": {"shape": "rectangle", "a": True, "b": 1.0,
+                                          "h": 0.125}}), "'domain.a'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "domain": {"shape": "disk", "radius": "1", "h": 0.125}}),
+         "'domain.radius'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "potential": {"kind": "constant", "c": "2"}}), "'potential.c'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "potential": {"kind": "radial_quadratic", "a": "1"}}),
+         "'potential.a'"),
+        (grid_config(spectrum={**grid_config()["spectrum"], "gauge": {"B": 5}}),
+         "does not read the key 'B'"),
+        (grid_config(spectrum={**grid_config()["spectrum"], "gauge": {"kind": "none", "B": 5}}),
+         "does not read the key 'B'"),
+        (grid_config(spectrum={**grid_config()["spectrum"], "potential": {"c": 50}}),
+         "does not read the key 'c'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "domain": {"shape": "rectangle", "a": 1.0, "b": 1.0, "h": 0.125,
+                                          "radius": 2.0}}), "does not read the key 'radius'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "solver": {"k": 6, "tol": 1e-10, "maxiter": 5}}),
+         "does not read the key 'maxiter'"),
     ], ids=["rectangle-b", "box-lengths", "disk-radius", "domain-h", "gauge-B", "list",
             "domain-number", "gauge-string", "solver-number", "eigenfunction-bool", "slack",
             "chi-number", "chi-short", "center-number", "center-strings", "center-nan",
@@ -480,14 +527,17 @@ class TestCli:
             "reference-disk-radius", "reference-radius-negative", "reference-radius-bool",
             "reference-box-lengths", "reference-lengths-negative", "k-bool", "k-float",
             "k-zero", "count-float", "count-bool", "radius-string", "B-bool", "B-nan",
-            "B-string"])
+            "B-string", "h-string", "h-bool", "h-zero", "tol-string", "rectangle-a-bool",
+            "grid-disk-radius-string", "constant-c-string", "quadratic-a-string",
+            "gauge-B-without-kind", "gauge-none-with-B", "potential-c-without-kind",
+            "rectangle-radius", "solver-maxiter"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, command, config, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         assert cli.main([command, "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["verify", "convergence"])
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "convergence"])
     @pytest.mark.parametrize("checks,message", [
         (["li-yau"], "'checks'"),
         ({"name": "li-yau", "ks": [1]}, "'checks'"),
@@ -499,10 +549,24 @@ class TestCli:
     ], ids=["entry-string", "checks-object", "ks-number", "ks-float", "lambdas-string",
             "lambda-indices-bool", "lambda-indices-zero"])
     def test_malformed_checks_exit_two(self, tmp_path, capsys, command, checks, message):
-        # `spectrum` runs no checks, so only these two commands read them
+        # `spectrum` runs no checks, but every command parses the whole config
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(grid_config(checks=checks)))
         assert cli.main([command, "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver,message", [
+        ({"k": 6, "tol": 1e-3}, "tolerance must lie in"),
+        ({"k": 60, "tol": 1e-10}, "got k = 60"),
+    ], ids=["tol", "k-above-n"])
+    def test_convergence_bad_solver_settings_exit_two(self, tmp_path, capsys, solver, message):
+        # a solver setting the operator cannot meet is a configuration error
+        # (as in verify and spectrum), not a failed refinement level
+        cfg = grid_config(h=1 / 8)
+        cfg["spectrum"]["solver"] = solver
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["convergence", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["verify", "spectrum", "convergence"])
