@@ -40,10 +40,13 @@ def box_spectrum(lengths, count: int) -> Spectrum:
         if total > _MAX_ENUMERATION:
             raise NumericalError(f"box enumeration bound {total} exceeds the supported size")
         if all(r >= 1 for r in ranges):
-            grids = np.meshgrid(*[np.arange(1, r + 1) for r in ranges], indexing="ij", sparse=True)
-            vals = sum((math.pi**2 / L**2) * g.astype(float) ** 2 for L, g in zip(lengths, grids))
-            vals = np.ravel(vals)
-            vals = vals[vals <= cap]
+            # sums over one more axis at a time, added in axis order; every term
+            # is positive, so a partial sum above cap only grows and is dropped
+            vals = np.zeros(1)
+            for L, r in zip(lengths, ranges):
+                terms = (math.pi**2 / L**2) * np.arange(1, r + 1, dtype=float) ** 2
+                vals = np.add.outer(vals, terms)
+                vals = vals[vals <= cap]
             if vals.size >= count:
                 vals.sort()
                 return Spectrum(d=d, values=vals[:count], source="analytic", measure=measure)

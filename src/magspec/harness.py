@@ -10,11 +10,14 @@ the ``timing`` block.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -221,9 +224,16 @@ def _check(chk, grid: bool) -> tuple[str, tuple, tuple]:
         raise InputDataError(f"unknown check {name!r}")
     if name == "ground-state-riesz-lower" and not grid:
         raise InputDataError(f"{name} needs a grid scenario with computed eigenfunctions")
+    param = bounds.CHECKS[name][0]
+    keys = ("ks",) if param == "ks" else ("lambdas", "lambda_indices")
+    _required(chk, f"a {name} check", others=("name", *keys))
     ks, lambdas, indices = (_number(chk.get(key, []), key, kind, _ANY_LENGTH)
                             for key, kind in _CHECK_PARAMS.items())
-    return (name, ks, ()) if bounds.CHECKS[name][0] == "ks" else (name, lambdas, indices)
+    values = ks if param == "ks" else lambdas
+    if not values + indices:
+        raise InputDataError(f"a {name} check needs a value under "
+                             f"{' or '.join(map(repr, keys))}")
+    return name, values, indices
 
 
 def _eigenfunction(eig: dict) -> dict | None:
@@ -426,51 +436,95 @@ def strip_timing(report: dict) -> dict:
     return out
 
 
-#: Element types of a list that the C JSON encoder renders in one call.
+#: Element types of a list that the C JSON encoder renders in slices.
 _SCALAR_TYPES = {float, int, bool, str, type(None)}
+#: Items per C-encoder call or CSV block: the most a writer holds as text at once.
+_SLICE = 2048
 
 
-def _indented_json(obj, indent: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` at nesting ``indent``.
+def _slices(items):
+    """Successive tuples of at most ``_SLICE`` items."""
+    it = iter(items)
+    while chunk := tuple(islice(it, _SLICE)):
+        yield chunk
+
+
+def _write_json(obj, write, indent: str = "") -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` at nesting ``indent``, piece by piece.
 
     CPython's C encoder runs only without ``indent``, so containers are laid
-    out here and each list of scalars goes through one C-encoder call whose
-    item separator carries the newline and indent.
+    out here and each list of scalars goes through the C encoder in slices
+    whose item separator carries the newline and indent.
     """
     inner = indent + "  "
+    sep = ",\n" + inner
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = (f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
-                 f"{_indented_json(v, inner)}" for k, v in sorted(obj.items()))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
+            write("{}")
+            return
+        write("{\n" + inner)
+        for i, (k, v) in enumerate(sorted(obj.items())):
+            write(f"{sep if i else ''}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: ")
+            _write_json(v, write, inner)
+        write("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            write("[]")
+            return
+        write("[\n" + inner)
         if set(map(type, obj)) <= _SCALAR_TYPES:
-            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+            for i, chunk in enumerate(_slices(obj)):
+                write((sep if i else "") + json.dumps(chunk, separators=(sep, ": "))[1:-1])
         else:
-            body = (",\n" + inner).join(_indented_json(x, inner) for x in obj)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    return json.dumps(obj)
+            for i, x in enumerate(obj):
+                if i:
+                    write(sep)
+                _write_json(x, write, inner)
+        write("\n" + indent + "]")
+    else:
+        write(json.dumps(obj))
 
 
 def write_report(report: dict, path: str | Path | None) -> None:
     """Write a report as sorted, indented JSON to path, or to stdout when path is None.
 
     The text is byte for byte ``json.dumps(report, sort_keys=True, indent=2)``
-    plus a newline."""
-    _write(_indented_json(report) + "\n", path)
+    plus a newline. It is written as it is encoded, so neither the whole text
+    nor that of a whole list is ever held. A value JSON cannot encode raises
+    TypeError and leaves any earlier file at path as it was (on stdout, the
+    text before it stays written)."""
+    with _writer(path) as write:
+        _write_json(report, write)
+        write("\n")
 
 
 def write_spectrum_csv(values, path: str | Path | None) -> None:
-    """One eigenvalue per line, to path, or to stdout when path is None."""
-    values = tuple(values)
-    _write(("%.17g\n" * len(values)) % values, path)
+    """One eigenvalue per line (``%.17g``), to path, or to stdout when path is None."""
+    with _writer(path) as write:
+        for chunk in _slices(values):
+            write(("%.17g\n" * len(chunk)) % chunk)
 
 
-def _write(text: str, path: str | Path | None) -> None:
+@contextlib.contextmanager
+def _writer(path: str | Path | None):
+    """The ``write`` of stdout or, with a path, of a temporary file beside it that
+    replaces path when the block ends and is removed if the block raises.  A
+    path that exists but is no regular file, such as a pipe or /dev/stdout, is
+    written directly; a symlink is followed to the file it names."""
     if path is None:
-        print(text, end="")
-    else:
-        Path(path).write_text(text)
+        yield sys.stdout.write
+        return
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as f:
+            yield f.write
+        return
+    path = path.resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f.write
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import special
@@ -30,6 +32,19 @@ class TestBoxSpectrum:
         k = np.arange(1, 5001)
         ratio = spec.values / (4 * np.pi * k)
         assert 0.9 < ratio[-1] < 1.2
+
+    @pytest.mark.parametrize("lengths,count", [
+        ([1.0, 1.7], 3000), ([1.0, 1.2, 0.9], 100_000), ([0.6, 1.0, 1.4, 2.1], 20_000),
+        ([1.0, 1.3, 0.8, 1.1, 0.5], 10_000), ([1.0] * 5, 100_000), ([0.05, 3.0], 500)])
+    def test_matches_full_lattice_sum(self, lengths, count):
+        # the whole meshgrid sum, added axis by axis in order, holds every value
+        # up to the largest returned one, bit for bit
+        spec = ms.box_spectrum(lengths, count)
+        cap = 1.01 * spec.values[-1]
+        grids = np.meshgrid(*[np.arange(1, int(L * math.sqrt(cap) / math.pi) + 1)
+                              for L in lengths], indexing="ij", sparse=True)
+        full = sum((math.pi**2 / L**2) * g.astype(float) ** 2 for L, g in zip(lengths, grids))
+        assert np.array_equal(spec.values, np.sort(np.ravel(full))[:count])
 
     def test_rejects_bad_input(self):
         with pytest.raises(ms.InputDataError):

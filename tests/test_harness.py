@@ -1,6 +1,10 @@
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +348,50 @@ class TestReportText:
             with pytest.raises(TypeError):
                 harness.write_report(bad, tmp_path / "bad.json")
 
+    def test_write_holds_a_small_part_of_the_report(self, tmp_path):
+        report = harness.run_scenario({
+            "spectrum": {"type": "box", "lengths": [1.0, 1.2, 0.9], "count": 100_000},
+            "checks": [{"name": "li-yau", "ks": [1, 50_000]}]})
+        path = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            harness.write_report(report, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 3_000_000
+        assert peak < size / 4
+
+    @pytest.mark.parametrize("write,bad", [
+        (harness.write_report, {"a": list(range(20_000)), "b": object()}),
+        (harness.write_spectrum_csv, [1.5] * 20_000 + ["x"]),
+    ], ids=["report", "csv"])
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, write, bad):
+        path = tmp_path / "out.txt"
+        path.write_text("earlier\n")
+        with pytest.raises(TypeError):
+            write(bad, path)
+        assert path.read_text() == "earlier\n"
+        with pytest.raises(TypeError):
+            write(bad, tmp_path / "new.txt")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_write_goes_through_links_and_pipes(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("earlier\n")
+        link.symlink_to(target)
+        harness.write_spectrum_csv([1.5, 2.0], link)
+        assert link.is_symlink() and target.read_text() == "1.5\n2\n"
+        fifo, got = tmp_path / "pipe", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        harness.write_spectrum_csv([1.5, 2.0], fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == ["1.5\n2\n"]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
     def test_csv_matches_per_value_format(self, tmp_path):
         spectrum = ms.box_spectrum([1.0, 1.3], 10_000).values
         for values in (spectrum, list(spectrum), [float("nan"), float("inf"), -0.0, 1e-300, 3],
@@ -546,14 +594,31 @@ class TestCli:
         ([{"name": "berezin-li-yau", "lambdas": ["60"]}], "'lambdas'"),
         ([{"name": "berezin-li-yau", "lambda_indices": [True]}], "'lambda_indices'"),
         ([{"name": "berezin-li-yau", "lambda_indices": [0]}], "'lambda_indices'"),
+        ([{"name": "berezin-li-yau", "ks": [5]}], "does not read the key 'ks'"),
+        ([{"name": "li-yau", "lambdas": [100.0]}], "does not read the key 'lambdas'"),
+        ([{"name": "yang", "ks": [1], "lambda_indices": [2]}],
+         "does not read the key 'lambda_indices'"),
+        ([{"name": "li-yau", "ks": [1], "k": 2}], "does not read the key 'k'"),
+        ([{"name": "li-yau"}], "needs a value under 'ks'"),
+        ([{"name": "ratio-bounds", "ks": []}], "needs a value under 'ks'"),
+        ([{"name": "riesz-mean-lower", "lambdas": [], "lambda_indices": []}],
+         "needs a value under 'lambdas' or 'lambda_indices'"),
     ], ids=["entry-string", "checks-object", "ks-number", "ks-float", "lambdas-string",
-            "lambda-indices-bool", "lambda-indices-zero"])
+            "lambda-indices-bool", "lambda-indices-zero", "bly-ks", "li-yau-lambdas",
+            "yang-lambda-indices", "unread-key", "no-values", "empty-ks", "empty-lambdas"])
     def test_malformed_checks_exit_two(self, tmp_path, capsys, command, checks, message):
         # `spectrum` runs no checks, but every command parses the whole config
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(grid_config(checks=checks)))
         assert cli.main([command, "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_empty_checks_list_is_valid(self, tmp_path, capsys):
+        # convergence configs carry no checks; verify then has nothing to fail
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(box_config(checks=[])))
+        assert cli.main(["verify", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == "overall: pass\n"
 
     @pytest.mark.parametrize("solver,message", [
         ({"k": 6, "tol": 1e-3}, "tolerance must lie in"),
