@@ -2,7 +2,7 @@
 operators: explicit constants, exact and discretized Dirichlet spectra, and
 inequality checks with quantified margins."""
 
-from .analytic import box_spectrum, disk_spectrum, weyl_eigenvalue
+from .analytic import box_spectrum, disk_spectrum
 from .bounds import (
     ANALYTIC_SLACK_RTOL,
     BoundCheck,

@@ -1,4 +1,4 @@
-"""Exact Dirichlet Laplacian spectra for boxes and disks, and the Weyl law."""
+"""Exact Dirichlet Laplacian spectra for boxes and disks."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from .eigensolve import Spectrum
 from .errors import InputDataError, NumericalError
 from .specfun import bessel_zero_ladder, unit_ball_volume
 
-__all__ = ["box_spectrum", "disk_spectrum", "weyl_eigenvalue"]
+__all__ = ["box_spectrum", "disk_spectrum"]
 
 _MAX_BOX_COUNT = 10**6
 _MAX_DISK_COUNT = 10**4
@@ -72,16 +72,3 @@ def disk_spectrum(R: float, count: int) -> Spectrum:
         if vals.size >= count:
             return Spectrum(d=2, values=vals[:count], source="analytic", measure=math.pi * R**2)
         X *= 1.2
-
-
-def weyl_eigenvalue(d: int, measure: float, k: int) -> float:
-    """Leading-order eigenvalue growth 4 pi^2 v_d^{-2/d} |Omega|^{-2/d} k^{2/d}."""
-    d = int(d)
-    if d < 2:
-        raise InputDataError(f"dimension must be >= 2, got {d}")
-    if measure <= 0:
-        raise InputDataError(f"measure must be positive, got {measure}")
-    k = int(k)
-    if k < 1:
-        raise InputDataError(f"index must be >= 1, got {k}")
-    return 4 * math.pi**2 * unit_ball_volume(d) ** (-2 / d) * measure ** (-2 / d) * k ** (2 / d)

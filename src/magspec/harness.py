@@ -21,6 +21,7 @@ from itertools import islice
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import analytic, bounds, eigfn
 from .domain import Annulus, Disk, GaugeSpec, LShape, MaskFile, PotentialSpec, Rectangle, \
@@ -436,10 +437,13 @@ def strip_timing(report: dict) -> dict:
     return out
 
 
-#: Element types of a list that the C JSON encoder renders in slices.
+#: Element types of a list that is encoded in slices.
 _SCALAR_TYPES = {float, int, bool, str, type(None)}
-#: Items per C-encoder call or CSV block: the most a writer holds as text at once.
+#: Items per encoder call or CSV block: the most a writer holds as text at once.
 _SLICE = 2048
+#: A float is written by orjson exactly as by ``repr`` when it is 0 or its
+#: magnitude lies in [low, high); outside, the exponent forms differ.
+_REPR_RANGE = (1e-4, 1e16)
 
 
 def _slices(items):
@@ -453,8 +457,8 @@ def _write_json(obj, write, indent: str = "") -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2)`` at nesting ``indent``, piece by piece.
 
     CPython's C encoder runs only without ``indent``, so containers are laid
-    out here and each list of scalars goes through the C encoder in slices
-    whose item separator carries the newline and indent.
+    out here and each list of scalars is encoded in slices whose item
+    separator carries the newline and indent (``_encode_slice``).
     """
     inner = indent + "  "
     sep = ",\n" + inner
@@ -474,7 +478,7 @@ def _write_json(obj, write, indent: str = "") -> None:
         write("[\n" + inner)
         if set(map(type, obj)) <= _SCALAR_TYPES:
             for i, chunk in enumerate(_slices(obj)):
-                write((sep if i else "") + json.dumps(chunk, separators=(sep, ": "))[1:-1])
+                write((sep if i else "") + _encode_slice(chunk, sep))
         else:
             for i, x in enumerate(obj):
                 if i:
@@ -483,6 +487,27 @@ def _write_json(obj, write, indent: str = "") -> None:
         write("\n" + indent + "]")
     else:
         write(json.dumps(obj))
+
+
+def _encode_slice(chunk: tuple, sep: str) -> str:
+    """The items of ``json.dumps(chunk)`` joined by ``sep``.
+
+    A slice of booleans, or of floats that are all 0 or in ``_REPR_RANGE`` in
+    magnitude, goes through orjson, whose text for them is ``repr``'s; its
+    compact commas become ``sep``, as no such item holds a comma. Any other
+    slice (NaN, infinities, tiny or huge floats, ints, strings, None, mixed
+    types) goes through the C encoder.
+    """
+    kinds = set(map(type, chunk))
+    if kinds == {bool} or kinds == {float} and _in_repr_range(chunk):
+        return orjson.dumps(chunk).decode()[1:-1].replace(",", sep)
+    return json.dumps(chunk, separators=(sep, ": "))[1:-1]
+
+
+def _in_repr_range(floats: tuple) -> bool:
+    a = np.abs(np.fromiter(floats, float, len(floats)))
+    low, high = _REPR_RANGE
+    return bool(np.all((a == 0) | ((a >= low) & (a < high))))
 
 
 def write_report(report: dict, path: str | Path | None) -> None:

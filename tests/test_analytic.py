@@ -101,14 +101,3 @@ class TestDiskSpectrum:
             ms.disk_spectrum(0.0, 5)
         with pytest.raises(ms.InputDataError):
             ms.disk_spectrum(1.0, 100001)
-
-
-class TestWeylEigenvalue:
-    def test_two_dimensional_form(self):
-        # v_2 = pi, so the k-th Weyl value on unit measure is 4 pi k
-        assert ms.weyl_eigenvalue(2, 1.0, 10) == pytest.approx(40 * np.pi, rel=1e-12)
-
-    def test_scaling_in_measure(self):
-        a = ms.weyl_eigenvalue(3, 1.0, 7)
-        b = ms.weyl_eigenvalue(3, 8.0, 7)
-        assert b == pytest.approx(a / 4.0, rel=1e-12)

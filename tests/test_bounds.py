@@ -147,6 +147,22 @@ class TestShiftedSumUpper:
         assert chk.lhs == pytest.approx(3 * np.pi**2, rel=1e-12)
         assert chk.rhs == pytest.approx(101.3, rel=1e-2)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_is_the_legendre_transform_of_riesz_lower(self, d):
+        # the shifted-sum bound on sum_{j<=k} (lambda_j - lambda_1) is
+        # sup_lam (k (lam - lambda_1) - lhs(lam)), lhs the Riesz-mean lower
+        # bound, here maximised numerically; both read only lambda_1
+        lam1 = 3.7
+        spec = _toy_spectrum(np.r_[lam1, np.full(399, 1e12)], d=d)
+        table = ms.constants_table(d, p_list=())
+
+        for k in (1, 7, 50, 400):
+            best = optimize.minimize_scalar(
+                lambda lam: ms.check_riesz_lower(spec, lam, table=table).lhs - k * (lam - lam1),
+                bounds=(lam1, 1e6), method="bounded", options={"xatol": 1e-8})
+            assert ms.check_shifted_sum_upper(spec, k, table=table).rhs == pytest.approx(
+                -best.fun, rel=1e-9)
+
 
 class TestRatioBounds:
     def test_toy_witness(self):

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -8,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import magspec as ms
 from magspec import bounds, cli, harness
@@ -314,6 +319,12 @@ def _report_cases():
             "hand-built": _hand_built_report()}
 
 
+#: Floats at and around the ends of the range where orjson and repr agree, and
+#: the values outside it that the C encoder must write.
+_EDGE_FLOATS = [1e-4, math.nextafter(1e-4, 0), 1e16, math.nextafter(1e16, 0), 0.0, -0.0,
+                -1e-4, 5e-324, math.nan, math.inf, -math.inf]
+
+
 def assert_same_text(actual: str, expected: str) -> None:
     """Equal strings, or a failure naming the first difference (pytest's own
     diff of two multi-megabyte strings takes minutes)."""
@@ -399,6 +410,49 @@ class TestReportText:
             path = tmp_path / "spectrum.csv"
             harness.write_spectrum_csv(values, path)
             assert_same_text(path.read_text(), "".join(f"{float(v):.17g}\n" for v in values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.floats(), max_size=40),
+        st.lists(st.floats(1e-4, 1e16, exclude_max=True).flatmap(
+            lambda x: st.sampled_from([x, -x, 0.0])), max_size=40),
+        st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-1e3, 1e3)), max_size=40),
+        st.lists(st.booleans(), max_size=40)))
+    @example([1.5] * 3000 + [math.nan] + [2.5] * 3000)
+    @example(_EDGE_FLOATS)
+    def test_scalar_lists_match_json_dumps(self, xs):
+        self._assert_written_as_json_dumps({"v": xs})
+
+    @pytest.mark.parametrize("x", _EDGE_FLOATS, ids=repr)
+    def test_edge_floats_match_json_dumps(self, x):
+        self._assert_written_as_json_dumps({"v": [x], "w": [1.5, x], "x": [x, True]})
+
+    @staticmethod
+    def _assert_written_as_json_dumps(report):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            harness.write_report(report, None)
+        assert_same_text(out.getvalue(), json.dumps(report, sort_keys=True, indent=2) + "\n")
+
+    def test_spectrum_slices_take_the_orjson_path(self, tmp_path, monkeypatch):
+        report = harness.run_scenario({
+            "spectrum": {"type": "box", "lengths": [1.0, 1.2, 0.9], "count": 100_000},
+            "checks": [{"name": "li-yau", "ks": [1, 50_000]}]})
+        encoded = []
+        dumps = harness.orjson.dumps
+
+        def counting_dumps(obj):
+            encoded.append(obj)
+            return dumps(obj)
+
+        monkeypatch.setattr(harness.orjson, "dumps", counting_dumps)
+        path = tmp_path / "report.json"
+        harness.write_report(report, path)
+        assert_same_text(path.read_text(), json.dumps(report, sort_keys=True, indent=2) + "\n")
+        spectrum = report["spectrum"]
+        for values in (spectrum["values"], spectrum["degeneracy_flags"]):
+            assert len(values) == 100_000
+            assert set(harness._slices(values)) <= set(encoded)
 
 
 class TestCli:
