@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -368,7 +367,6 @@ def run_scenario(config: dict) -> dict:
             "source": spec.source,
             "measure": _jsonable(spec.measure),
             "values": _jsonable(spec.values),
-            "degeneracy_flags": _jsonable(spec.degeneracy_flags),
             "residuals": [_jsonable(p.residual) for p in pairs],
         },
         "checks": [_jsonable(c) for c in check_results],
@@ -447,10 +445,8 @@ _REPR_RANGE = (1e-4, 1e16)
 
 
 def _slices(items):
-    """Successive tuples of at most ``_SLICE`` items."""
-    it = iter(items)
-    while chunk := tuple(islice(it, _SLICE)):
-        yield chunk
+    """Successive slices of at most ``_SLICE`` items of a list, tuple or array."""
+    return (items[i:i + _SLICE] for i in range(0, len(items), _SLICE))
 
 
 def _write_json(obj, write, indent: str = "") -> None:
@@ -476,9 +472,10 @@ def _write_json(obj, write, indent: str = "") -> None:
             write("[]")
             return
         write("[\n" + inner)
-        if set(map(type, obj)) <= _SCALAR_TYPES:
+        kinds = set(map(type, obj))
+        if kinds <= _SCALAR_TYPES:
             for i, chunk in enumerate(_slices(obj)):
-                write((sep if i else "") + _encode_slice(chunk, sep))
+                write((sep if i else "") + _encode_slice(chunk, kinds, sep))
         else:
             for i, x in enumerate(obj):
                 if i:
@@ -489,22 +486,22 @@ def _write_json(obj, write, indent: str = "") -> None:
         write(json.dumps(obj))
 
 
-def _encode_slice(chunk: tuple, sep: str) -> str:
-    """The items of ``json.dumps(chunk)`` joined by ``sep``.
+def _encode_slice(chunk: list | tuple, kinds: set, sep: str) -> str:
+    """The items of ``json.dumps(chunk)`` joined by ``sep``; ``kinds`` are the
+    element types of the whole list the slice was cut from.
 
-    A slice of booleans, or of floats that are all 0 or in ``_REPR_RANGE`` in
-    magnitude, goes through orjson, whose text for them is ``repr``'s; its
-    compact commas become ``sep``, as no such item holds a comma. Any other
-    slice (NaN, infinities, tiny or huge floats, ints, strings, None, mixed
-    types) goes through the C encoder.
+    A slice of a list of booleans, or of a list of floats whose slice is all
+    0 or in ``_REPR_RANGE`` in magnitude, goes through orjson, whose text for
+    them is ``repr``'s; its compact commas become ``sep``, as no such item
+    holds a comma. Any other slice (NaN, infinities, tiny or huge floats,
+    ints, strings, None, mixed types) goes through the C encoder.
     """
-    kinds = set(map(type, chunk))
     if kinds == {bool} or kinds == {float} and _in_repr_range(chunk):
         return orjson.dumps(chunk).decode()[1:-1].replace(",", sep)
     return json.dumps(chunk, separators=(sep, ": "))[1:-1]
 
 
-def _in_repr_range(floats: tuple) -> bool:
+def _in_repr_range(floats: list | tuple) -> bool:
     a = np.abs(np.fromiter(floats, float, len(floats)))
     low, high = _REPR_RANGE
     return bool(np.all((a == 0) | ((a >= low) & (a < high))))
@@ -527,7 +524,7 @@ def write_spectrum_csv(values, path: str | Path | None) -> None:
     """One eigenvalue per line (``%.17g``), to path, or to stdout when path is None."""
     with _writer(path) as write:
         for chunk in _slices(values):
-            write(("%.17g\n" * len(chunk)) % chunk)
+            write(("%.17g\n" * len(chunk)) % tuple(chunk))
 
 
 @contextlib.contextmanager
@@ -535,21 +532,30 @@ def _writer(path: str | Path | None):
     """The ``write`` of stdout or, with a path, of a temporary file beside it that
     replaces path when the block ends and is removed if the block raises.  A
     path that exists but is no regular file, such as a pipe or /dev/stdout, is
-    written directly; a symlink is followed to the file it names."""
+    written directly; a symlink is followed to the file it names.  A file that
+    cannot be opened raises InputDataError naming path as given."""
     if path is None:
         yield sys.stdout.write
         return
-    path = Path(path)
+    given, path = path, Path(path)
     if path.exists() and not path.is_file():
-        with open(path, "w", encoding="utf-8") as f:
+        with _open(path, given) as f:
             yield f.write
         return
     path = path.resolve()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    f = _open(tmp, given)
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
+        with f:
             yield f.write
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _open(path: Path, given: str | Path):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputDataError(f"cannot write {given}: {exc.strerror}") from exc

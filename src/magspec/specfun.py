@@ -265,8 +265,8 @@ def constants_table(d: int, p_list: tuple[float, ...] | list[float] = (1.0, 2.0)
     if not MIN_DIM <= d <= MAX_DIM:
         raise ValueError(f"dimension must be in [{MIN_DIM}, {MAX_DIM}], got {d}")
     for p in p_list:
-        if not (float(p) > 0):
-            raise ValueError(f"Chiti exponent p must be positive, got {p}")
+        if not 0 < float(p) < math.inf:
+            raise ValueError(f"Chiti exponent p must be a finite positive number, got {p}")
 
     nu = (d - 2) / 2.0
     j1 = bessel_zero(nu, 1)

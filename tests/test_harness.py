@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import magspec as ms
 from magspec import bounds, cli, harness
+from magspec.eigensolve import _degeneracy_flags
 
 
 def box_config(**extra):
@@ -371,7 +373,7 @@ class TestReportText:
         finally:
             tracemalloc.stop()
         size = path.stat().st_size
-        assert size > 3_000_000
+        assert size > 2_500_000
         assert peak < size / 4
 
     @pytest.mark.parametrize("write,bad", [
@@ -435,24 +437,50 @@ class TestReportText:
         assert_same_text(out.getvalue(), json.dumps(report, sort_keys=True, indent=2) + "\n")
 
     def test_spectrum_slices_take_the_orjson_path(self, tmp_path, monkeypatch):
-        report = harness.run_scenario({
+        box = harness.run_scenario({
             "spectrum": {"type": "box", "lengths": [1.0, 1.2, 0.9], "count": 100_000},
             "checks": [{"name": "li-yau", "ks": [1, 50_000]}]})
+        # lambda_1 = 6.4e-5 lies below 1e-4, so only the disk's later slices qualify
+        disk = harness.run_scenario({
+            "spectrum": {"type": "disk", "radius": 300.0, "count": 5000},
+            "checks": [{"name": "li-yau", "ks": [1, 5000]}]})
+        flags = [i % 3 == 0 for i in range(5000)]
         encoded = []
         dumps = harness.orjson.dumps
 
         def counting_dumps(obj):
-            encoded.append(obj)
+            encoded.append(tuple(obj))
             return dumps(obj)
 
         monkeypatch.setattr(harness.orjson, "dumps", counting_dumps)
+        for report in (box, disk, {"flags": flags}):
+            path = tmp_path / "report.json"
+            harness.write_report(report, path)
+            assert_same_text(path.read_text(),
+                             json.dumps(report, sort_keys=True, indent=2) + "\n")
+        box_slices, disk_slices, flag_slices = (
+            [tuple(v[i:i + 2048]) for i in range(0, len(v), 2048)]
+            for v in (box["spectrum"]["values"], disk["spectrum"]["values"], flags))
+        assert len(box_slices) == 49 and len(disk_slices) == 3 and len(flag_slices) == 3
+        assert disk_slices[0][0] < 1e-4 <= disk_slices[1][0]
+        assert set(box_slices + disk_slices[1:] + flag_slices) <= set(encoded)
+        assert disk_slices[0] not in encoded
+
+    @pytest.mark.parametrize("source", [
+        {"type": "box", "lengths": [1.0, 1.2, 0.9], "count": 100_000},
+        {"type": "disk", "radius": 1.0, "count": 5000},
+        grid_config(h=1 / 16)["spectrum"],
+    ], ids=["box3-1e5", "disk-5000", "square-h16"])
+    def test_degeneracy_flags_rebuilt_from_the_report(self, tmp_path, source):
+        # a report leaves the flags out: they are a function of its exact values
+        config = {"spectrum": source, "checks": []}
         path = tmp_path / "report.json"
-        harness.write_report(report, path)
-        assert_same_text(path.read_text(), json.dumps(report, sort_keys=True, indent=2) + "\n")
-        spectrum = report["spectrum"]
-        for values in (spectrum["values"], spectrum["degeneracy_flags"]):
-            assert len(values) == 100_000
-            assert set(harness._slices(values)) <= set(encoded)
+        harness.write_report(harness.run_scenario(config), path)
+        written = json.loads(path.read_text())["spectrum"]
+        spec, _ = harness.build_spectrum(harness.parse_config(config).spectrum)
+        assert "degeneracy_flags" not in written and spec.degeneracy_flags.any()
+        rebuilt = _degeneracy_flags(np.array(written["values"]))
+        np.testing.assert_array_equal(rebuilt, spec.degeneracy_flags)
 
 
 class TestCli:
@@ -510,6 +538,25 @@ class TestCli:
         # failure, not C_d(p) = 0 and not an OverflowError
         assert cli.main(["constants", "--dim", dim, "--p", p]) == 3
         assert "did not reach tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["inf", "nan", "0", "-1"])
+    def test_constants_bad_p_exit_two(self, capsys, p):
+        assert cli.main(["constants", "--dim", "2", "--p", p]) == 2
+        assert "must be a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_unwritable_out_exit_two(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(box_config()))
+        assert cli.main([command, "--config", "cfg.json", "--out", "missing/r.json"]) == 2
+        assert capsys.readouterr().err == \
+            "error: cannot write missing/r.json: No such file or directory\n"
+        # the temporary file beside the path cannot be made: the earlier file stays
+        Path("r.json").write_text("earlier\n")
+        Path(f".r.json.{os.getpid()}.tmp").mkdir()
+        assert cli.main([command, "--config", "cfg.json", "--out", "r.json"]) == 2
+        assert capsys.readouterr().err == "error: cannot write r.json: Is a directory\n"
+        assert Path("r.json").read_text() == "earlier\n"
 
     def test_import_leaves_out_scipy_integrate(self):
         code = ("import sys, magspec.cli; "
