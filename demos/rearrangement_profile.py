@@ -38,9 +38,9 @@ def main():
         print(f"{s:>8.3f} {u:>14.5f} {z:>10.5f} {u - z:>+10.5f}")
     print("(non-negative gap = the rearranged state dominates the ball profile)")
 
-    verdict = ms.comparison_check(omega, h, lam, d=2, measure=dom.measure)
-    print(f"\ncomparison check: inclusion {verdict.inclusion.passed}, "
-          f"domination {verdict.domination.passed}")
+    inclusion, domination = ms.comparison_check(omega, h, lam, d=2, measure=dom.measure)
+    print(f"\ncomparison check: inclusion {inclusion.passed}, "
+          f"domination {domination.passed}")
 
     ode = ms.rearrangement_ode_check(profile, lam, 2)
     print(f"slope inequality (diagnostic): violating fraction "

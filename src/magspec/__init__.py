@@ -28,7 +28,6 @@ from .domain import (
     PotentialSpec,
     Rectangle,
     build_domain,
-    link_phase,
 )
 from .eigensolve import EigenPair, Spectrum, lowest_eigenpairs
 from .eigfn import (

@@ -57,6 +57,15 @@ def _slack(h: float | None, scale: float) -> float:
     return ANALYTIC_SLACK_RTOL * abs(scale) if h is None else discrete_slack(h, scale)
 
 
+def _checked_k(spec: Spectrum, k, plus_one: bool = False) -> int:
+    """k as an int, checked to index lambda_k of spec or, with ``plus_one``, lambda_(k+1)."""
+    k, top = int(k), len(spec) - plus_one
+    if not 1 <= k <= top:
+        raise ValueError(f"need 1 <= k <= {top}{' for lambda_(k+1)' if plus_one else ''}, "
+                         f"got {k}")
+    return k
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     """One inequality verdict; pass iff margin >= -slack."""
@@ -138,9 +147,7 @@ def check_li_yau(spec: Spectrum, measure: float, k: int, *,
                  h: float | None = None) -> BoundCheck:
     """sum_{j<=k} lambda_j >= (4 pi^2 d/(d+2)) v_d^{-2/d} |Omega|^{-2/d} k^{1+2/d}."""
     d = spec.d
-    k = int(k)
-    if not 1 <= k <= len(spec):
-        raise ValueError(f"need 1 <= k <= {len(spec)}, got {k}")
+    k = _checked_k(spec, k)
     lhs = (4 * math.pi**2 * d / (d + 2)) * unit_ball_volume(d) ** (-2 / d) \
         * measure ** (-2 / d) * k ** (1 + 2 / d)
     rhs = float(spec.values[:k].sum())
@@ -170,9 +177,7 @@ def check_shifted_sum_upper(spec: Spectrum, k: int, *, h: float | None = None,
                             table: ConstantsTable | None = None) -> BoundCheck:
     """sum_{j<=k}(lambda_j - lambda_1) <= (d/(d+2)) H_d^{2/d} lambda_1 k^{1+2/d}."""
     d = spec.d
-    k = int(k)
-    if not 1 <= k <= len(spec):
-        raise ValueError(f"need 1 <= k <= {len(spec)}, got {k}")
+    k = _checked_k(spec, k)
     table = table or constants_table(d, p_list=())
     lam1 = float(spec.values[0])
     lhs = float((spec.values[:k] - lam1).sum())
@@ -187,9 +192,7 @@ def check_ratio_bounds(spec: Spectrum, k: int, *, h: float | None = None,
                        table: ConstantsTable | None = None) -> list[BoundCheck]:
     """The three explicit upper bounds on lambda_{k+1}/lambda_1."""
     d = spec.d
-    k = int(k)
-    if not 1 <= k <= len(spec) - 1:
-        raise ValueError(f"need 1 <= k <= {len(spec) - 1} for lambda_(k+1), got {k}")
+    k = _checked_k(spec, k, plus_one=True)
     table = table or constants_table(d, p_list=())
     hd = table.ratio_constant
     lam1 = float(spec.values[0])
@@ -218,9 +221,7 @@ def check_ratio_bounds(spec: Spectrum, k: int, *, h: float | None = None,
 def check_yang(spec: Spectrum, k: int, *, h: float | None = None) -> BoundCheck:
     """sum_{j<=k} (lambda_{k+1}-lambda_j)(lambda_{k+1}-(1+4/d) lambda_j) <= 0."""
     d = spec.d
-    k = int(k)
-    if not 1 <= k <= len(spec) - 1:
-        raise ValueError(f"need 1 <= k <= {len(spec) - 1} for lambda_(k+1), got {k}")
+    k = _checked_k(spec, k, plus_one=True)
     lam = spec.values[: k + 1]
     lhs = float(((lam[k] - lam[:k]) * (lam[k] - (1 + 4 / d) * lam[:k])).sum())
     return _make_check(
@@ -238,9 +239,7 @@ def check_yang_corollaries(spec: Spectrum, k: int, *,
     evaluated with a near-zero denominator.
     """
     d = spec.d
-    k = int(k)
-    if not 1 <= k <= len(spec) - 1:
-        raise ValueError(f"need 1 <= k <= {len(spec) - 1} for lambda_(k+1), got {k}")
+    k = _checked_k(spec, k, plus_one=True)
     lam = spec.values[: k + 1]
     mean = float(lam[:k].mean())
     slack = _slack(h, lam[k])

@@ -7,7 +7,8 @@ Subcommands:
   convergence  refinement study for a grid scenario
 
 Exit codes: 0 all checks pass, 1 at least one genuine violation,
-2 configuration or usage error, 3 numerical failure.
+2 configuration or usage error (an --out that cannot be written is one, found
+before any solve), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     scenario = harness.parse_config(_load_config(args.config))
+    harness.check_writable(args.out)
     values = harness.build_spectrum(scenario.spectrum)[0].values
     harness.write_spectrum_csv(values, args.out)
     if args.out:
@@ -65,6 +67,7 @@ def _report_exit_code(report: dict) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
+    harness.check_writable(args.out)
     report = harness.run_scenario(config)
     if args.out:
         harness.write_report(report, args.out)
@@ -83,6 +86,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_convergence(args) -> int:
     config = _load_config(args.config)
+    harness.check_writable(args.out)
     report = harness.convergence_study(config, args.levels)
     if args.out:
         harness.write_report(report, args.out)

@@ -24,7 +24,6 @@ __all__ = [
     "GaugeSpec",
     "PotentialSpec",
     "build_domain",
-    "link_phase",
 ]
 
 
@@ -203,33 +202,15 @@ class GaugeSpec:
                            B: float = 0.0) -> "GaugeSpec":
         return cls(B=float(B), chi_coeffs=(float(c0), float(c1), float(c2)))
 
-    @property
-    def kind(self) -> str:
-        if self.chi_coeffs != (0.0, 0.0, 0.0):
-            return "linear_gauge_shift"
-        return "uniform" if self.B != 0.0 else "none"
-
-    def vector_potential(self, x, y):
+    def link_phase(self, x, y, di: int, dj: int, h: float):
+        """Peierls phase of the lattice edge with midpoint (x, y) and unit step
+        (di, dj) on the grid of spacing h: the midpoint rule A(x, y) . (di, dj) h.
+        It is exact for these linear potentials, so the phases around a plaquette
+        add up to its flux B h^2, and the reversed edge has the negated phase."""
         c0, c1, c2 = self.chi_coeffs
         ax = -0.5 * self.B * y + c0 + c2 * y
         ay = 0.5 * self.B * x + c1 + c2 * x
-        return ax, ay
-
-
-def link_phase(gauge: GaugeSpec, p, q, h: float | None = None) -> float:
-    """Midpoint-rule phase of the edge p -> q: A(midpoint) . (q - p).
-
-    Exact for linear gauge potentials; antisymmetric under edge reversal.
-    When the grid spacing h is given, the nodes must be at distance h.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    d = q - p
-    if h is not None and abs(np.hypot(d[0], d[1]) - h) > 1e-9 * h:
-        raise ValueError(f"nodes {p} and {q} are not grid-adjacent at spacing {h}")
-    mid = 0.5 * (p + q)
-    ax, ay = gauge.vector_potential(mid[0], mid[1])
-    return float(ax * d[0] + ay * d[1])
+        return (ax * di + ay * dj) * h
 
 
 # ---------------------------------------------------------------------------

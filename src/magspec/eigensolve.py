@@ -12,7 +12,7 @@ is zero, complex otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -43,7 +43,6 @@ class Spectrum:
     values: np.ndarray
     source: str  # "analytic" or "discrete(h=...)"
     measure: float | None = None
-    degeneracy_flags: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -51,8 +50,6 @@ class Spectrum:
         if values.size and (np.any(np.diff(values) < -1e-12 * np.abs(values[:-1]))
                             or values[0] <= 0):
             raise ValueError("spectrum must be sorted and strictly positive")
-        if self.degeneracy_flags.size == 0 and values.size:
-            object.__setattr__(self, "degeneracy_flags", _degeneracy_flags(values))
 
     def __len__(self) -> int:
         return self.values.size

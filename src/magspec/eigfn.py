@@ -8,7 +8,7 @@ equimeasurable with the original function, with no radial binning error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .specfun import ConstantsTable, bessel_j, bessel_zero, constants_table, \
 __all__ = [
     "NormReport",
     "RearrangementProfile",
-    "ComparisonVerdict",
     "norms",
     "distribution_function",
     "decreasing_rearrangement",
@@ -134,23 +133,16 @@ def chiti_check(omega: np.ndarray, h: float, lam: float, d: int, p: float = 2.0,
     ]
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    """Ball-inclusion and profile-domination verdict for one eigenfunction."""
-
-    ball_measure: float
-    domain_measure: float
-    inclusion: BoundCheck
-    domination: BoundCheck
-    passed: bool
-    context: dict = field(default_factory=dict)
+#: Slack of profile domination, relative to the profile's sup norm z(0).
+DOMINATION_RTOL = 0.02
 
 
-def comparison_check(omega: np.ndarray, h: float, lam: float, d: int, measure: float,
-                     tol: float = 0.02) -> ComparisonVerdict:
+def comparison_check(omega: np.ndarray, h: float, lam: float, d: int,
+                     measure: float) -> list[BoundCheck]:
     """Check that the ball with lowest Dirichlet eigenvalue lam fits in the
-    equal-measure ball of the domain, and that the rearranged eigenfunction
-    dominates the radial profile on that ball (after matching sup norms)."""
+    equal-measure ball of the domain (``ball-inclusion``, whose lhs is that
+    ball's measure), and that the rearranged eigenfunction dominates the radial
+    profile on that ball after matching sup norms (``profile-domination``)."""
     nu = (d - 2) / 2.0
     v_d = unit_ball_volume(d)
     r_ball = bessel_zero(nu, 1) / math.sqrt(lam)
@@ -171,18 +163,12 @@ def comparison_check(omega: np.ndarray, h: float, lam: float, d: int, measure: f
     v_vals = z_profile(lam, d, (s[in_ball] / v_d) ** (1.0 / d))
     gap = scale * profile.u_values[in_ball] - v_vals
     min_margin = float(gap.min()) if gap.size else 0.0
+    slack = DOMINATION_RTOL * z0
     domination = _make_check(
-        "profile-domination", -min_margin, 0.0, min_margin, tol * z0,
-        {"lambda": lam, "d": d, "nodes_compared": int(gap.size), "tol": tol * z0},
+        "profile-domination", -min_margin, 0.0, min_margin, slack,
+        {"lambda": lam, "d": d, "nodes_compared": int(gap.size), "tol": slack},
     )
-    return ComparisonVerdict(
-        ball_measure=ball_measure,
-        domain_measure=measure,
-        inclusion=inclusion,
-        domination=domination,
-        passed=inclusion.passed and domination.passed,
-        context={"lambda": lam, "d": d, "h": h},
-    )
+    return [inclusion, domination]
 
 
 def rearrangement_ode_check(profile: RearrangementProfile, lam: float, d: int) -> BoundCheck:

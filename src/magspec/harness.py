@@ -25,7 +25,7 @@ import orjson
 from . import analytic, bounds, eigfn
 from .domain import Annulus, Disk, GaugeSpec, LShape, MaskFile, PotentialSpec, Rectangle, \
     Shape, build_domain
-from .eigensolve import EigenPair, Spectrum, lowest_eigenpairs
+from .eigensolve import EigenPair, Spectrum, _degeneracy_flags, lowest_eigenpairs
 from .errors import InputDataError, NumericalError, TruncationError
 from .operator import assemble
 from .specfun import ConstantsTable, constants_table
@@ -40,6 +40,7 @@ __all__ = [
     "convergence_study",
     "write_report",
     "write_spectrum_csv",
+    "check_writable",
     "strip_timing",
 ]
 
@@ -306,14 +307,14 @@ def _run_eigenfunction(eig: dict | None, spec: Spectrum, pairs: list[EigenPair],
     rep = eigfn.norms(omega, h, p_list=(1.0, 2.0))
     out = {"norms": {"sup_norm": rep.sup_norm, "lp": {str(p): v for p, v in rep.lp.items()},
                      "l2_normalized": rep.l2_normalized},
-           "ground_state_degenerate": bool(spec.degeneracy_flags[0]) if len(spec) else False}
+           "ground_state_degenerate": bool(_degeneracy_flags(spec.values[:2])[0])}
     checks = []
     if eig["chiti"]:
         checks.extend(eigfn.chiti_check(omega, h, lam, spec.d, p=eig["p"], table=table))
     if eig["comparison"]:
-        verdict = eigfn.comparison_check(omega, h, lam, spec.d, spec.measure)
-        checks.extend([verdict.inclusion, verdict.domination])
-        out["ball_measure"] = verdict.ball_measure
+        inclusion, domination = eigfn.comparison_check(omega, h, lam, spec.d, spec.measure)
+        checks.extend([inclusion, domination])
+        out["ball_measure"] = inclusion.lhs
     if eig["ode"]:
         profile = eigfn.decreasing_rearrangement(omega, h)
         checks.append(eigfn.rearrangement_ode_check(profile, lam, spec.d))
@@ -527,6 +528,29 @@ def write_spectrum_csv(values, path: str | Path | None) -> None:
             write(("%.17g\n" * len(chunk)) % tuple(chunk))
 
 
+def check_writable(path: str | Path | None) -> None:
+    """Raise the InputDataError that writing a report or CSV to path would raise,
+    before the work that makes it: open and remove the temporary file the write
+    would go through.  Stdout and an existing path that is no regular file (a
+    pipe is not opened here: that would block) pass, unless it is a directory."""
+    files = _files(path)
+    if files is not None:
+        _open(files[1], path).close()
+        files[1].unlink()
+    elif path is not None and Path(path).is_dir():
+        _open(Path(path), path)  # raises: a directory cannot be opened for writing
+
+
+def _files(path: str | Path | None) -> tuple[Path, Path] | None:
+    """The file a write to path replaces (a symlink followed) and the temporary file
+    beside it that the write goes through; None for stdout or for a path that
+    exists but is no regular file, which is written directly."""
+    if path is None or Path(path).exists() and not Path(path).is_file():
+        return None
+    target = Path(path).resolve()
+    return target, target.with_name(f".{target.name}.{os.getpid()}.tmp")
+
+
 @contextlib.contextmanager
 def _writer(path: str | Path | None):
     """The ``write`` of stdout or, with a path, of a temporary file beside it that
@@ -537,18 +561,17 @@ def _writer(path: str | Path | None):
     if path is None:
         yield sys.stdout.write
         return
-    given, path = path, Path(path)
-    if path.exists() and not path.is_file():
-        with _open(path, given) as f:
+    files = _files(path)
+    if files is None:
+        with _open(Path(path), path) as f:
             yield f.write
         return
-    path = path.resolve()
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    f = _open(tmp, given)
+    target, tmp = files
+    f = _open(tmp, path)
     try:
         with f:
             yield f.write
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -1,9 +1,9 @@
 """Discrete magnetic Schrodinger operator on a masked grid.
 
 Five-point stencil with Peierls phases on the links: for interior nodes p, q
-at distance h the coupling is -exp(-i theta_pq)/h^2 with theta_pq the link
-phase of the gauge potential, and the diagonal is 4/h^2 + V(p).  Exterior
-nodes are eliminated (Dirichlet condition), which keeps the operator
+at distance h the coupling is -exp(-i theta_pq)/h^2 with theta_pq the phase
+``GaugeSpec.link_phase`` of the edge p -> q, and the diagonal is 4/h^2 + V(p).
+Exterior nodes are eliminated (Dirichlet condition), which keeps the operator
 Hermitian and positive definite for V >= 0.  When every link phase is zero
 (no gauge, or B = 0 without a gauge shift) the matrix is real symmetric
 float64, otherwise complex128; the dtype is the only difference.
@@ -71,11 +71,9 @@ def assemble(dom: GridDomain, gauge: GaugeSpec, pot: PotentialSpec) -> MagneticO
         ok[ok] &= dom.mask[i2[ok], j2[ok]]
         p = dom.index[ii[ok], jj[ok]]
         q = dom.index[i2[ok], j2[ok]]
-        # midpoint-rule link phase for edge p -> q
-        mx = dom.origin[0] + h * (ii[ok] + 0.5 * di)
-        my = dom.origin[1] + h * (jj[ok] + 0.5 * dj)
-        ax, ay = gauge.vector_potential(mx, my)
-        theta = (ax * di + ay * dj) * h
+        # phase of edge p -> q, taken at its midpoint
+        theta = gauge.link_phase(dom.origin[0] + h * (ii[ok] + 0.5 * di),
+                                 dom.origin[1] + h * (jj[ok] + 0.5 * dj), di, dj, h)
         phased |= bool(theta.any())
         coupling = -np.exp(-1j * theta) / h**2
         rows.extend([p, q])

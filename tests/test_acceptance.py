@@ -232,9 +232,9 @@ def test_criterion_7_eigenfunction_suite(disk_ground_h128, square_ground_state_h
         (pair_d.vector, dom_d.h, lam_d, dom_d.measure),
     ]
     for vec, h, lam, measure in runs:
-        verdict = ms.comparison_check(vec, h, lam, d=2, measure=measure, tol=0.02)
-        ok &= verdict.domination.passed
-        ok &= verdict.ball_measure <= measure + verdict.inclusion.slack
+        inclusion, domination = ms.comparison_check(vec, h, lam, d=2, measure=measure)
+        ok &= domination.passed
+        ok &= inclusion.lhs <= measure + inclusion.slack
     _report(7, "eigenfunction suite: disk 1+/-2% and 1+/-1e-6, square <= 0.99, "
                "domination 2%, |S| <= measure", ok)
 

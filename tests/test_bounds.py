@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,23 @@ class TestSlackPolicy:
             assert "slack" not in params, name
             assert params["h"].kind is inspect.Parameter.KEYWORD_ONLY, name
             assert params["h"].default is None, name
+
+
+@pytest.mark.parametrize("check,top,note", [
+    (lambda spec, k: ms.check_li_yau(spec, 1.0, k), 4, ""),
+    (ms.check_shifted_sum_upper, 4, ""),
+    (ms.check_ratio_bounds, 3, " for lambda_(k+1)"),
+    (ms.check_yang, 3, " for lambda_(k+1)"),
+    (ms.check_yang_corollaries, 3, " for lambda_(k+1)"),
+], ids=["li-yau", "shifted-sum-upper", "ratio-bounds", "yang", "yang-corollaries"])
+def test_k_range(check, top, note):
+    # k indexes lambda_k, or lambda_(k+1) where the check reads the next value
+    spec = _toy_spectrum([1.0, 2.0, 3.0, 4.0])
+    check(spec, top)
+    for k in (0, top + 1):
+        with pytest.raises(ValueError, match=rf"^need 1 <= k <= {top}{re.escape(note)}, "
+                                             rf"got {k}$"):
+            check(spec, k)
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import magspec as ms
-from magspec.domain import link_phase
 from magspec.errors import InputDataError
 
 
@@ -76,45 +75,62 @@ class TestBuildDomain:
             ms.build_domain(ms.MaskFile("/nonexistent/mask.csv"), 0.5)
 
 
+def plaquette_phase(g, x, y, h):
+    """Sum of the link phases around the plaquette with lower-left corner (x, y),
+    counterclockwise: each edge by its midpoint and unit step."""
+    return (g.link_phase(x + h / 2, y, 1, 0, h) + g.link_phase(x + h, y + h / 2, 0, 1, h)
+            + g.link_phase(x + h / 2, y + h, -1, 0, h) + g.link_phase(x, y + h / 2, 0, -1, h))
+
+
 class TestLinkPhase:
     def test_no_gauge_is_zero(self):
-        assert link_phase(ms.GaugeSpec.none(), (0.3, 0.4), (0.3, 0.5)) == 0.0
+        assert ms.GaugeSpec.none().link_phase(0.3, 0.45, 0, 1, 0.1) == 0.0
 
     def test_symmetric_gauge_vanishes_on_x_axis(self):
         g = ms.GaugeSpec.uniform(5.0)
-        # horizontal edge centered at the origin: A_x = -(B/2) y = 0 there
-        assert link_phase(g, (-0.05, 0.0), (0.05, 0.0)) == 0.0
-
-    def test_non_adjacent_rejected(self):
-        with pytest.raises(ValueError):
-            link_phase(ms.GaugeSpec.none(), (0.0, 0.0), (0.0, 0.3), h=0.1)
+        # horizontal edges centered on the x-axis: A_x = -(B/2) y = 0 there
+        x = np.linspace(-1.0, 1.0, 9)
+        assert np.all(g.link_phase(x, np.zeros_like(x), 1, 0, 0.1) == 0.0)
 
     @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(-5, 5),
            st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=50, deadline=None)
     def test_antisymmetry(self, x, y, b, c0, c1, c2):
+        # the reversed edge has the same midpoint and the opposite step
         g = ms.GaugeSpec.linear_gauge_shift(c0, c1, c2, B=b)
-        p, q = (x, y), (x + 0.25, y)
-        assert link_phase(g, p, q) == pytest.approx(-link_phase(g, q, p), abs=1e-12)
+        for di, dj in ((1, 0), (0, 1)):
+            assert g.link_phase(x, y, di, dj, 0.25) == -g.link_phase(x, y, -di, -dj, 0.25)
 
-    @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-8, 8))
+    @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-8, 8),
+           st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=50, deadline=None)
-    def test_plaquette_flux_exact(self, x, y, b):
+    def test_plaquette_flux_exact(self, x, y, b, c0, c1, c2):
         # Stokes: the midpoint rule is exact for a linear gauge potential,
-        # so the phase around any plaquette equals B h^2 exactly
-        g = ms.GaugeSpec.uniform(b)
+        # so the phase around any plaquette equals B h^2 in every gauge
         h = 0.125
-        corners = [(x, y), (x + h, y), (x + h, y + h), (x, y + h), (x, y)]
-        total = sum(link_phase(g, corners[i], corners[i + 1]) for i in range(4))
-        assert total == pytest.approx(b * h**2, abs=1e-12, rel=1e-12)
+        for g in (ms.GaugeSpec.uniform(b), ms.GaugeSpec.linear_gauge_shift(c0, c1, c2, B=b)):
+            assert plaquette_phase(g, x, y, h) == pytest.approx(b * h**2, abs=1e-12, rel=1e-12)
 
     def test_plaquette_flux_location_independent(self):
         g = ms.GaugeSpec.uniform(3.0)
         h = 1 / 32
-        for x0, y0 in [(0.0, 0.0), (0.5, 0.25), (-1.0, 2.0)]:
-            corners = [(x0, y0), (x0 + h, y0), (x0 + h, y0 + h), (x0, y0 + h), (x0, y0)]
-            total = sum(link_phase(g, corners[i], corners[i + 1]) for i in range(4))
-            assert total == pytest.approx(3.0 * h**2, rel=1e-12)
+        x0, y0 = np.array([0.0, 0.5, -1.0]), np.array([0.0, 0.25, 2.0])
+        assert plaquette_phase(g, x0, y0, h) == pytest.approx(3.0 * h**2, rel=1e-12)
+
+    def test_assembled_couplings_carry_the_phases(self):
+        # every stored off-diagonal entry of the operator is -exp(-i theta)/h^2
+        # with theta the link phase of its edge
+        h = 1 / 8
+        g = ms.GaugeSpec.linear_gauge_shift(0.3, -0.2, 0.7, B=5.0)
+        dom = ms.build_domain(ms.LShape(1.0, 1.0, 0.5), h)
+        mat = ms.assemble(dom, g, ms.PotentialSpec.zero()).matrix.tocoo()
+        off = mat.row != mat.col
+        p, q = dom.points[mat.row[off]], dom.points[mat.col[off]]
+        step = np.rint((q - p) / h).astype(int)
+        assert set(map(tuple, step)) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+        theta = g.link_phase(*(0.5 * (p + q)).T, step[:, 0], step[:, 1], h)
+        np.testing.assert_allclose(mat.data[off], -np.exp(-1j * theta) / h**2,
+                                   rtol=0, atol=1e-12 / h**2)
 
 
 class TestPotentials:

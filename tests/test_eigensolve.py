@@ -43,8 +43,8 @@ class TestLowestEigenpairs:
     def test_degeneracy_flags_on_square(self, small_square_op):
         _, op = small_square_op
         spec, _ = ms.lowest_eigenpairs(op, 3)
-        assert not spec.degeneracy_flags[0]
-        assert spec.degeneracy_flags[1] and spec.degeneracy_flags[2]
+        np.testing.assert_array_equal(eigensolve._degeneracy_flags(spec.values),
+                                      [False, True, True])
 
     def test_constant_shift(self, small_square_op):
         dom, op0 = small_square_op
@@ -150,3 +150,54 @@ class TestSpectrumType:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ms.Spectrum(d=2, values=np.array([0.0, 1.0]), source="analytic")
+
+
+def lowest_values(shape, h, gauge, k=12):
+    op = ms.assemble(ms.build_domain(shape, h), gauge, ms.PotentialSpec.zero())
+    return ms.lowest_eigenpairs(op, k)[0].values
+
+
+class TestFluxSymmetries:
+    """The field enters only through the link phases, so only the plaquette
+    flux B h^2 modulo 2 pi and its sign-free spectrum matter."""
+
+    @pytest.mark.parametrize("shape,h", [
+        (ms.LShape(1.0, 1.0, 0.5), 1 / 16),
+        (ms.Annulus(0.3, 1.0), 0.05),
+    ], ids=["lshape-h16", "annulus-h0.05"])
+    @pytest.mark.parametrize("b", [5.0, 37.0])
+    def test_flux_reversed_and_shifted_by_2pi(self, shape, h, b):
+        # -B is the complex conjugate operator; 2 pi/h^2 - B has plaquette flux
+        # 2 pi - B h^2, the flux of -B modulo 2 pi (also around the annulus' hole,
+        # which the lattice fills with plaquettes)
+        ref = lowest_values(shape, h, ms.GaugeSpec.uniform(b))
+        for other in (-b, 2 * np.pi / h**2 - b):
+            vals = lowest_values(shape, h, ms.GaugeSpec.uniform(other))
+            assert np.max(np.abs(vals - ref) / ref) < 1e-12
+
+
+def pi_flux_square_spectrum(n):
+    """Spectrum of the five-point operator on the unit square at h = 1/n with
+    flux pi per plaquette.  Squared, the hopping part is the sum of the 1-D
+    squares, so each pair (i, j) gives (4 -/+ 2 sqrt(cos^2(i pi/n) + cos^2(j pi/n)))/h^2;
+    (i, j) and (n - i, j) give the same pair, so every value is listed twice."""
+    c2 = np.cos(np.arange(1, n) * np.pi / n) ** 2
+    root = 2 * np.sqrt(c2[:, None] + c2[None, :]).ravel()
+    return (np.sort(np.concatenate([4 - root, 4 + root])) * n**2)[::2]
+
+
+class TestPiFluxSquare:
+    def test_all_values_at_n16(self):
+        n = 16
+        op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / n),
+                         ms.GaugeSpec.uniform(np.pi * n**2), ms.PotentialSpec.zero())
+        vals = ms.lowest_eigenpairs(op, op.n)[0].values
+        exact = pi_flux_square_spectrum(n)
+        assert vals.shape == exact.shape
+        assert np.max(np.abs(vals - exact) / exact) < 1e-12
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_lowest_values(self, n):
+        vals = lowest_values(ms.Rectangle(1.0, 1.0), 1 / n, ms.GaugeSpec.uniform(np.pi * n**2))
+        exact = pi_flux_square_spectrum(n)[:12]
+        assert np.max(np.abs(vals - exact) / exact) < 1e-12

@@ -149,11 +149,12 @@ class TestComparisonCheck:
     def test_square_ground_state(self, square_ground_state_h64):
         dom, spec, pair = square_ground_state_h64
         lam, vec = float(spec.values[0]), pair.vector
-        verdict = ms.comparison_check(vec, dom.h, lam, d=2, measure=dom.measure)
-        assert verdict.passed
-        assert verdict.inclusion.passed
-        assert verdict.domination.passed
-        assert verdict.ball_measure <= verdict.domain_measure + verdict.inclusion.slack
+        inclusion, domination = ms.comparison_check(vec, dom.h, lam, d=2, measure=dom.measure)
+        assert (inclusion.name, domination.name) == ("ball-inclusion", "profile-domination")
+        assert inclusion.passed and domination.passed
+        assert inclusion.lhs <= dom.measure + inclusion.slack
+        z0 = float(ms.z_profile(lam, 2, 0.0))
+        assert domination.slack == domination.context["tol"] == 0.02 * z0
 
     def test_analytic_disk_profile_is_extremal(self):
         # feed the exact ball profile back in: domination is an equality
@@ -162,9 +163,10 @@ class TestComparisonCheck:
         dom = ms.build_domain(ms.Disk(1.0), h)
         r = np.hypot(dom.points[:, 0], dom.points[:, 1])
         omega = ms.z_profile(lam, 2, r)
-        verdict = ms.comparison_check(omega, h, lam, d=2, measure=dom.measure,
-                                      tol=0.005)
-        assert verdict.passed
+        inclusion, domination = ms.comparison_check(omega, h, lam, d=2, measure=dom.measure)
+        assert inclusion.passed
+        # within a quarter of the fixed slack 0.02 z(0)
+        assert domination.margin >= -0.005 * float(ms.z_profile(lam, 2, 0.0))
 
 
 class TestRearrangementOde:

@@ -67,7 +67,7 @@ class TestConfigParsing:
             harness.parse_shape({"shape": "pentagon"})
 
     def test_parse_gauge(self):
-        assert harness.parse_gauge(None).kind == "none"
+        assert harness.parse_gauge(None) == ms.GaugeSpec.none()
         assert harness.parse_gauge({"kind": "uniform", "B": 2.0}).B == 2.0
         with pytest.raises(ms.InputDataError):
             harness.parse_gauge({"kind": "torus"})
@@ -478,9 +478,9 @@ class TestReportText:
         harness.write_report(harness.run_scenario(config), path)
         written = json.loads(path.read_text())["spectrum"]
         spec, _ = harness.build_spectrum(harness.parse_config(config).spectrum)
-        assert "degeneracy_flags" not in written and spec.degeneracy_flags.any()
-        rebuilt = _degeneracy_flags(np.array(written["values"]))
-        np.testing.assert_array_equal(rebuilt, spec.degeneracy_flags)
+        flags = _degeneracy_flags(spec.values)
+        assert "degeneracy_flags" not in written and flags.any()
+        np.testing.assert_array_equal(_degeneracy_flags(np.array(written["values"])), flags)
 
 
 class TestCli:
@@ -557,6 +557,27 @@ class TestCli:
         assert cli.main([command, "--config", "cfg.json", "--out", "r.json"]) == 2
         assert capsys.readouterr().err == "error: cannot write r.json: Is a directory\n"
         assert Path("r.json").read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "convergence"])
+    def test_unwritable_out_refused_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        def solve(*args):
+            raise AssertionError("solved before the output path was checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "build_spectrum", solve)
+        Path("cfg.json").write_text(json.dumps(grid_config(h=1 / 8, k=2)))
+        assert cli.main([command, "--config", "cfg.json", "--out", "missing/r.json"]) == 2
+        assert capsys.readouterr().err == \
+            "error: cannot write missing/r.json: No such file or directory\n"
+        Path("out").mkdir()
+        assert cli.main([command, "--config", "cfg.json", "--out", "out"]) == 2
+        assert capsys.readouterr().err == "error: cannot write out: Is a directory\n"
+        Path("out").rmdir()
+        # a writable path leaves no file behind the check: the solve comes next
+        with pytest.raises(AssertionError, match="solved before"):
+            cli.main([command, "--config", "cfg.json", "--out", "r.json"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_import_leaves_out_scipy_integrate(self):
         code = ("import sys, magspec.cli; "
