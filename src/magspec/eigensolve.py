@@ -8,6 +8,21 @@ count (Sylvester's law) certifies that none below the k-th was missed.  The
 start vector is fixed, so repeated solves give identical output.  The solve
 runs in the matrix's own dtype: real float64 arithmetic when every link phase
 is zero, complex otherwise.
+
+Half-size solve.  When the operator knows its nodes' checkerboard colours
+and its diagonal is one constant alpha (a constant potential, assembled
+directly, not through ``gauge_shift``), every link joins the two colours and
+H = alpha I + [[0, B], [B^H, 0]].  Its eigenvalues below alpha are
+alpha - sigma_i, with sigma_i the singular values of B.  The solve then
+factors and iterates on S = alpha I - B^H B / alpha over the smaller colour
+class, maps each eigenvalue s of S to lambda = alpha s / (alpha +
+sqrt(alpha (alpha - s))) and lifts its vector x_b to the other class by
+x_r = -B x_b / (alpha - lambda).  The inertia count below sigma < alpha
+factors S - s(sigma) I with s(sigma) = sigma (2 alpha - sigma) / alpha, whose
+inertia is that of H - sigma I (Haynsworth: the other Schur block is
+(alpha - sigma) I > 0).  Residuals are still measured on the full H.  Any
+other operator, and any request whose values reach alpha / 2, where the lift
+would more than double the error of x_b, is solved at full size.
 """
 
 from __future__ import annotations
@@ -86,23 +101,78 @@ def _factor(a: sp.spmatrix):
     return lu
 
 
+@dataclass(frozen=True)
+class _Chiral:
+    """H = alpha I + [[0, B], [B^H, 0]] with the rows split by colour: B couples
+    the nodes `other` to the nodes `kept` of the smaller colour class."""
+
+    alpha: float
+    kept: np.ndarray
+    other: np.ndarray
+    coupling: sp.csr_matrix  # B, len(other) x len(kept)
+
+    def schur(self, diagonal: float) -> sp.csc_matrix:
+        """diagonal * I - B^H B / alpha on the kept class."""
+        gram = (self.coupling.getH() @ self.coupling).tocsc()
+        gram.data *= -1.0 / self.alpha
+        return gram + diagonal * sp.identity(self.kept.size, format="csc")
+
+    def lift(self, xb: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Eigenvectors of H from those of S on the kept class, unit norm."""
+        x = np.empty((self.kept.size + self.other.size, xb.shape[1]), dtype=xb.dtype)
+        x[self.kept] = xb
+        x[self.other] = self.coupling @ xb
+        x[self.other] /= vals - self.alpha
+        x /= np.linalg.norm(x, axis=0)
+        return x
+
+
+def _chiral(op: MagneticOperator) -> _Chiral | None:
+    """The two-colour split of the operator, or None unless its colours are
+    known and its diagonal is exactly one constant."""
+    if op.colour is None:
+        return None
+    diag = op.matrix.diagonal()
+    alpha = diag[0].real
+    if not np.all(diag == alpha):
+        return None
+    odd = op.colour.astype(bool)
+    kept, other = np.flatnonzero(odd), np.flatnonzero(~odd)
+    if kept.size > other.size:
+        kept, other = other, kept
+    return _Chiral(alpha=float(alpha), kept=kept, other=other,
+                   coupling=op.matrix[other][:, kept])
+
+
+def _shifted(op: MagneticOperator, sigma: float) -> sp.spmatrix:
+    """A matrix with the inertia of H - sigma I: S - s(sigma) I on the kept
+    class when sigma < alpha, else H - sigma I itself."""
+    chiral = _chiral(op)
+    if chiral is not None and sigma < chiral.alpha:
+        # alpha - s(sigma) = (alpha - sigma)^2 / alpha, without cancellation
+        return chiral.schur((chiral.alpha - sigma) ** 2 / chiral.alpha)
+    return op.matrix - sigma * sp.identity(op.n, format="csr")
+
+
 def _count_below(op: MagneticOperator, sigma: float) -> int:
     """Number of eigenvalues below sigma, by Sylvester's law of inertia."""
-    lu = _factor(op.matrix - sigma * sp.identity(op.n, format="csr"))
+    # the shifted matrix is freed before U is exported; reading lu.U builds L and U
+    lu = _factor(_shifted(op, sigma))
     return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
-def _solve_sparse(op: MagneticOperator, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _shift_invert(a: sp.spmatrix, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """k smallest eigenpairs of a Hermitian positive-definite matrix, sorted."""
     maxiter = 50 * k
-    lu = _factor(op.matrix)
+    lu = _factor(a)
     try:
         vals, vecs = spla.eigsh(
-            op.matrix,
+            a,
             k=k,
             sigma=0.0,
             which="LM",
-            OPinv=spla.LinearOperator(op.matrix.shape, matvec=lu.solve, dtype=op.matrix.dtype),
-            v0=_start_vector(op.n),
+            OPinv=spla.LinearOperator(a.shape, matvec=lu.solve, dtype=a.dtype),
+            v0=_start_vector(a.shape[0]),
             tol=tol,
             maxiter=maxiter,
         )
@@ -113,6 +183,19 @@ def _solve_sparse(op: MagneticOperator, k: int, tol: float) -> tuple[np.ndarray,
         ) from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def _solve_sparse(op: MagneticOperator, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    chiral = _chiral(op)
+    # ARPACK needs k < n - 1 on the kept class too
+    if chiral is not None and k < chiral.kept.size - 1:
+        alpha = chiral.alpha
+        s, xb = _shift_invert(chiral.schur(alpha), k, tol)
+        # lambda < alpha / 2, i.e. s < 3 alpha / 4: then ||B|| / (alpha - lambda) < 2
+        if s[-1] < 0.75 * alpha:
+            vals = alpha * s / (alpha + np.sqrt(alpha * (alpha - s)))
+            return vals, chiral.lift(xb, vals)
+    return _shift_invert(op.matrix, k, tol)
 
 
 def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10

@@ -7,6 +7,12 @@ Exterior nodes are eliminated (Dirichlet condition), which keeps the operator
 Hermitian and positive definite for V >= 0.  When every link phase is zero
 (no gauge, or B = 0 without a gauge shift) the matrix is real symmetric
 float64, otherwise complex128; the dtype is the only difference.
+
+Every link joins a node of checkerboard colour (i + j) mod 2 to one of the
+other colour, so with a constant potential the matrix is alpha I plus a
+coupling between the two colour classes only.  ``assemble`` records each
+node's colour so that the eigensolver can work on one class (see
+``eigensolve``).
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ class MagneticOperator:
     matrix: sp.csr_matrix  # n x n; float64 when every link phase is 0, else complex128
     h: float
     measure: float
+    #: Checkerboard colour (i + j) mod 2 of each interior node, or None if
+    #: unknown.  Every nonzero off-diagonal entry joins the two colours, so when
+    #: the diagonal is also one constant the eigensolver factors and iterates on
+    #: one colour class only (about n/2 rows); otherwise it solves at full size.
+    colour: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -86,7 +97,8 @@ def assemble(dom: GridDomain, gauge: GaugeSpec, pot: PotentialSpec) -> MagneticO
         (data if phased else data.real, (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     )
-    return MagneticOperator(matrix=mat, h=h, measure=dom.measure)
+    return MagneticOperator(matrix=mat, h=h, measure=dom.measure,
+                            colour=((ii + jj) % 2).astype(np.int8))
 
 
 def gauge_shift(op: MagneticOperator, chi: np.ndarray) -> MagneticOperator:
@@ -100,4 +112,4 @@ def gauge_shift(op: MagneticOperator, chi: np.ndarray) -> MagneticOperator:
     u = np.exp(1j * chi)
     d = sp.diags(u)
     mat = (d @ op.matrix @ sp.diags(np.conj(u))).tocsr()
-    return MagneticOperator(matrix=mat, h=op.h, measure=op.measure)
+    return MagneticOperator(matrix=mat, h=op.h, measure=op.measure, colour=op.colour)

@@ -201,3 +201,128 @@ class TestPiFluxSquare:
         vals = lowest_values(ms.Rectangle(1.0, 1.0), 1 / n, ms.GaugeSpec.uniform(np.pi * n**2))
         exact = pi_flux_square_spectrum(n)[:12]
         assert np.max(np.abs(vals - exact) / exact) < 1e-12
+
+
+@pytest.fixture
+def factored_sizes(monkeypatch):
+    """The order of every matrix the solver factors, in call order."""
+    sizes = []
+    factor = eigensolve._factor
+
+    def record(a):
+        sizes.append(a.shape[0])
+        return factor(a)
+
+    monkeypatch.setattr(eigensolve, "_factor", record)
+    return sizes
+
+
+def assert_matches_dense(op, vals, vecs):
+    """Values against dense eigh of the full matrix, and each vector an
+    eigenvector of the full matrix."""
+    dense = op.matrix.toarray()
+    exact = np.linalg.eigvalsh(dense)[:len(vals)]
+    assert np.max(np.abs(vals - exact) / exact) < 1e-12
+    res = np.linalg.norm(dense @ vecs - vecs * vals, axis=0) / (vals * np.linalg.norm(vecs, axis=0))
+    assert np.all(res < 1e-9)
+
+
+def assert_pairs_match_dense(op, spec, pairs):
+    assert_matches_dense(op, spec.values, np.column_stack([p.vector for p in pairs]))
+
+
+class TestHalfSizeSolve:
+    """A constant diagonal and two colours: the solve runs on S = alpha I - B^H B / alpha
+    over the smaller colour class and lifts back to the full grid."""
+
+    @pytest.mark.parametrize("shape,h,gauge,pot,classes", [
+        (ms.LShape(1.0, 1.0, 0.5), 1 / 16, ms.GaugeSpec.linear_gauge_shift(0.7, -0.3, 0.2, B=5.0),
+         ms.PotentialSpec.zero(), [80, 81]),
+        (ms.Annulus(0.3, 1.0), 0.1, ms.GaugeSpec.none(), ms.PotentialSpec.constant(3.0),
+         [136, 142]),
+    ], ids=["lshape-h16-B5-shifted", "annulus-h0.1-c3"])
+    def test_matches_dense(self, shape, h, gauge, pot, classes, factored_sizes):
+        op = ms.assemble(ms.build_domain(shape, h), gauge, pot)
+        assert sorted(np.bincount(op.colour)) == classes
+        # the solve itself, then through the residual gate and the inertia count
+        assert_matches_dense(op, *eigensolve._solve_sparse(op, 12, 1e-10))
+        assert_pairs_match_dense(op, *ms.lowest_eigenpairs(op, 12))
+        assert factored_sizes and set(factored_sizes) == {classes[0]}
+
+    def test_pi_flux_resolve_on_half_grid(self, factored_sizes, monkeypatch):
+        # lambda_1 is double: the first solve at k = 8 skips copies and the
+        # inertia count sends it round again, both times on the half grid
+        n = 16
+        op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / n),
+                         ms.GaugeSpec.uniform(np.pi * n**2), ms.PotentialSpec.zero())
+        requests = []
+        solve = eigensolve._solve_sparse
+
+        def record(op, m, tol):
+            requests.append(m)
+            return solve(op, m, tol)
+
+        monkeypatch.setattr(eigensolve, "_solve_sparse", record)
+        spec, pairs = ms.lowest_eigenpairs(op, 8)
+        assert requests == [8, 16]
+        assert_pairs_match_dense(op, spec, pairs)
+        exact = pi_flux_square_spectrum(n)[:8]
+        assert np.max(np.abs(spec.values - exact) / exact) < 1e-12
+        assert set(factored_sizes) == {np.bincount(op.colour).min()}
+
+    @pytest.mark.parametrize("gauge", [ms.GaugeSpec.none(), ms.GaugeSpec.uniform(37.0)],
+                             ids=["real", "complex"])
+    def test_count_below_matches_dense(self, gauge, factored_sizes):
+        # a square with c = 2.5: exact doubles at B = 0, pairs 1e-4 apart at
+        # B = 37; sigma just below and above each cluster and halfway between
+        # neighbours, inside those close pairs too
+        op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16), gauge,
+                         ms.PotentialSpec.constant(2.5))
+        alpha = 4 * 16**2 + 2.5
+        exact = np.linalg.eigvalsh(op.matrix.toarray())
+        clusters = exact[np.r_[True, np.diff(exact) > 1e-8 * exact[1:]]]
+        low = clusters[clusters < alpha]
+        sigmas = np.concatenate([low[:30] * (1 - 1e-6), low[:30] * (1 + 1e-6),
+                                 (low[:-1] + low[1:]) / 2])
+        for sigma in sigmas:
+            assert eigensolve._count_below(op, sigma) == np.count_nonzero(exact < sigma)
+        assert set(factored_sizes) == {np.bincount(op.colour).min()}
+
+    def test_count_at_or_above_alpha_is_full_size(self, small_square_op, factored_sizes):
+        _, op = small_square_op
+        alpha = 4 * 16**2
+        exact = np.linalg.eigvalsh(op.matrix.toarray())
+        # alpha itself is an eigenvalue (i + j = 16), so step just past it
+        for sigma in (alpha * (1 + 1e-6), alpha * 1.3):
+            assert eigensolve._count_below(op, sigma) == np.count_nonzero(exact < sigma)
+        assert factored_sizes == [op.n, op.n]
+
+    @pytest.mark.parametrize("k", [9, 22], ids=["above-half-alpha", "reaching-alpha"])
+    def test_upper_values_fall_back(self, k, factored_sizes):
+        # at h = 1/8, alpha = 256: lambda_9 = 137.7 > alpha / 2, where the lift
+        # would more than double the error of x_b; alpha is a 7-fold eigenvalue
+        # (i + j = 8), so only 21 values lie below it and lambda_22 = alpha,
+        # which S cannot carry
+        h = 1 / 8
+        op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), h), ms.GaugeSpec.none(),
+                         ms.PotentialSpec.zero())
+        kept = np.bincount(op.colour).min()
+        assert k < kept - 1
+        spec, pairs = ms.lowest_eigenpairs(op, k)
+        assert spec.values[-1] >= 2 / h**2
+        assert_pairs_match_dense(op, spec, pairs)
+        # the half-size attempt, then the full-size solve
+        assert factored_sizes[:2] == [kept, op.n]
+
+    @pytest.mark.parametrize("make", ["radial-disk", "gauge-shifted-square"])
+    def test_full_size_otherwise(self, make, factored_sizes):
+        if make == "radial-disk":
+            op = ms.assemble(ms.build_domain(ms.Disk(1.0), 0.1), ms.GaugeSpec.uniform(2.0),
+                             ms.PotentialSpec.radial_quadratic(1.0))
+        else:
+            square = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16),
+                                 ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+            op = ms.gauge_shift(square, np.random.default_rng(7).uniform(-np.pi, np.pi, square.n))
+            assert op.colour is square.colour
+        assert_pairs_match_dense(op, *ms.lowest_eigenpairs(op, 6))
+        assert factored_sizes and set(factored_sizes) == {op.n}

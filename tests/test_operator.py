@@ -63,6 +63,20 @@ class TestAssemble:
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16)
         assert ms.assemble(dom, gauge, pot).matrix.dtype == dtype
 
+    @pytest.mark.parametrize("shape,h", [
+        (ms.LShape(1.0, 1.0, 0.5), 1 / 16),
+        (ms.Annulus(0.3, 1.0), 0.1),
+    ], ids=["lshape", "annulus"])
+    def test_every_link_joins_two_colours(self, shape, h):
+        dom = ms.build_domain(shape, h)
+        op = ms.assemble(dom, ms.GaugeSpec.uniform(5.0), ms.PotentialSpec.zero())
+        ii, jj = np.nonzero(dom.mask)
+        np.testing.assert_array_equal(op.colour, (ii + jj) % 2)
+        coo = op.matrix.tocoo()
+        off = coo.row != coo.col
+        assert off.any() and np.all(op.colour[coo.row[off]] != op.colour[coo.col[off]])
+        assert ms.gauge_shift(op, np.ones(op.n)).colour is op.colour
+
     def test_constant_potential_shifts_spectrum(self, small_square_op):
         dom, op0 = small_square_op
         opc = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.constant(7.0))
