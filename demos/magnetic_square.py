@@ -46,7 +46,7 @@ def main():
 
     print("\ninequality checks on the magnetic spectrum (discrete slack):")
     for k in (1, 3, 7):
-        for chk in ms.check_ratio_bounds(spec, k, h=h):
+        for chk in ms.check_ratio_bounds(spec, k):
             mark = "ok" if chk.passed else "VIOLATED"
             print(f"  [{mark}] k={k} {chk.name:<14} margin={chk.margin:+.4f}")
 

@@ -49,7 +49,7 @@ def box_spectrum(lengths, count: int) -> Spectrum:
                 vals = vals[vals <= cap]
             if vals.size >= count:
                 vals.sort()
-                return Spectrum(d=d, values=vals[:count], source="analytic", measure=measure)
+                return Spectrum(d=d, values=vals[:count], measure=measure)
         cap *= 1.5
 
 
@@ -70,5 +70,5 @@ def disk_spectrum(R: float, count: int) -> Spectrum:
         vals = np.sort(np.concatenate([np.repeat((z / R) ** 2, 1 if n == 0 else 2)
                                        for n, z in enumerate(zeros)]))
         if vals.size >= count:
-            return Spectrum(d=2, values=vals[:count], source="analytic", measure=math.pi * R**2)
+            return Spectrum(d=2, values=vals[:count], measure=math.pi * R**2)
         X *= 1.2

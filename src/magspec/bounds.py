@@ -2,10 +2,11 @@
 
 Every check returns a :class:`BoundCheck` whose margin is oriented so that
 a non-negative margin means the inequality holds.  A margin in (-slack, 0)
-still passes, flagged as a tolerance pass.  Each check computes its own
-slack from the size of its inequality: ``discrete_slack(h, scale)`` on a
-grid of spacing ``h``, which absorbs the discretization error, and
-``ANALYTIC_SLACK_RTOL * |scale|`` on an exact spectrum (``h`` None).
+still passes, flagged as a tolerance pass.  A check reads d, |Omega| and the
+grid spacing h from its spectrum and computes its own slack from the size of
+its inequality: ``discrete_slack(spec.h, scale)`` on a grid spectrum, which
+absorbs the discretization error, and ``ANALYTIC_SLACK_RTOL * |scale|`` on an
+exact one (``spec.h`` None).
 
 Berezin--Li--Yau bounds the Riesz mean by the Weyl term,
 sum_j (lambda - lambda_j)_+ <= (2/(d+2)) v_d (2 pi)^{-d} |Omega| lambda^{1+d/2},
@@ -22,7 +23,7 @@ import numpy as np
 
 from .eigensolve import Spectrum
 from .errors import TruncationError
-from .specfun import ConstantsTable, constants_table, unit_ball_volume
+from .specfun import ratio_constant, unit_ball_volume
 
 __all__ = [
     "BoundCheck",
@@ -52,9 +53,9 @@ def discrete_slack(h: float, scale: float) -> float:
     return max(1e-8, 10.0 * h**2 * abs(scale))
 
 
-def _slack(h: float | None, scale: float) -> float:
-    """Slack of a check of size ``scale``, on a grid of spacing h or, with h None, exactly."""
-    return ANALYTIC_SLACK_RTOL * abs(scale) if h is None else discrete_slack(h, scale)
+def _slack(spec: Spectrum, scale: float) -> float:
+    """Slack of a check of size ``scale`` on spec: on its grid, or exact when spec.h is None."""
+    return ANALYTIC_SLACK_RTOL * abs(scale) if spec.h is None else discrete_slack(spec.h, scale)
 
 
 def _checked_k(spec: Spectrum, k, plus_one: bool = False) -> int:
@@ -130,74 +131,68 @@ def legendre_transform_riesz(spec: Spectrum, p: float) -> float:
     return float(frac * spec.values[ip] + spec.values[:ip].sum())
 
 
-def check_berezin_li_yau(spec: Spectrum, measure: float, lam: float, *,
-                         h: float | None = None) -> BoundCheck:
+def check_berezin_li_yau(spec: Spectrum, lam: float) -> BoundCheck:
     """Riesz mean <= (2/(d+2)) v_d (2 pi)^{-d} |Omega| lambda^{1+d/2}."""
-    d = spec.d
+    d, measure = spec.d, spec.measure
     lhs = riesz_mean(spec, lam)
     rhs = 2.0 / (d + 2) * unit_ball_volume(d) / (2 * math.pi) ** d * measure \
         * lam ** (1 + d / 2)
     return _make_check(
-        "berezin-li-yau", lhs, rhs, rhs - lhs, _slack(h, rhs),
+        "berezin-li-yau", lhs, rhs, rhs - lhs, _slack(spec, rhs),
         {"lambda": lam, "d": d, "measure": measure},
     )
 
 
-def check_li_yau(spec: Spectrum, measure: float, k: int, *,
-                 h: float | None = None) -> BoundCheck:
+def check_li_yau(spec: Spectrum, k: int) -> BoundCheck:
     """sum_{j<=k} lambda_j >= (4 pi^2 d/(d+2)) v_d^{-2/d} |Omega|^{-2/d} k^{1+2/d}."""
-    d = spec.d
+    d, measure = spec.d, spec.measure
     k = _checked_k(spec, k)
     lhs = (4 * math.pi**2 * d / (d + 2)) * unit_ball_volume(d) ** (-2 / d) \
         * measure ** (-2 / d) * k ** (1 + 2 / d)
     rhs = float(spec.values[:k].sum())
     return _make_check(
-        "li-yau", lhs, rhs, rhs - lhs, _slack(h, rhs),
+        "li-yau", lhs, rhs, rhs - lhs, _slack(spec, rhs),
         {"k": k, "d": d, "measure": measure},
     )
 
 
-def check_riesz_lower(spec: Spectrum, lam: float, *, h: float | None = None,
-                      table: ConstantsTable | None = None) -> BoundCheck:
+def check_riesz_lower(spec: Spectrum, lam: float) -> BoundCheck:
     """Riesz mean >= (2/(d+2)) H_d^{-1} lambda_1^{-d/2} (lambda-lambda_1)_+^{1+d/2}."""
     d = spec.d
-    table = table or constants_table(d, p_list=())
+    hd = ratio_constant(d)
     lam1 = float(spec.values[0])
     rhs = riesz_mean(spec, lam)
-    lhs = (2.0 / (d + 2)) / table.ratio_constant * lam1 ** (-d / 2) \
+    lhs = (2.0 / (d + 2)) / hd * lam1 ** (-d / 2) \
         * max(lam - lam1, 0.0) ** (1 + d / 2)
     return _make_check(
         "riesz-mean-lower", lhs, rhs, rhs - lhs,
-        _slack(h, lam ** (1 + d / 2) / lam1 ** (d / 2)),
-        {"lambda": lam, "d": d, "lambda_1": lam1, "H_d": table.ratio_constant},
+        _slack(spec, lam ** (1 + d / 2) / lam1 ** (d / 2)),
+        {"lambda": lam, "d": d, "lambda_1": lam1, "H_d": hd},
     )
 
 
-def check_shifted_sum_upper(spec: Spectrum, k: int, *, h: float | None = None,
-                            table: ConstantsTable | None = None) -> BoundCheck:
+def check_shifted_sum_upper(spec: Spectrum, k: int) -> BoundCheck:
     """sum_{j<=k}(lambda_j - lambda_1) <= (d/(d+2)) H_d^{2/d} lambda_1 k^{1+2/d}."""
     d = spec.d
     k = _checked_k(spec, k)
-    table = table or constants_table(d, p_list=())
+    hd = ratio_constant(d)
     lam1 = float(spec.values[0])
     lhs = float((spec.values[:k] - lam1).sum())
-    rhs = (d / (d + 2)) * table.ratio_constant ** (2 / d) * lam1 * k ** (1 + 2 / d)
+    rhs = (d / (d + 2)) * hd ** (2 / d) * lam1 * k ** (1 + 2 / d)
     return _make_check(
-        "shifted-sum-upper", lhs, rhs, rhs - lhs, _slack(h, lam1 * k ** (1 + 2 / d)),
-        {"k": k, "d": d, "lambda_1": lam1, "H_d": table.ratio_constant},
+        "shifted-sum-upper", lhs, rhs, rhs - lhs, _slack(spec, lam1 * k ** (1 + 2 / d)),
+        {"k": k, "d": d, "lambda_1": lam1, "H_d": hd},
     )
 
 
-def check_ratio_bounds(spec: Spectrum, k: int, *, h: float | None = None,
-                       table: ConstantsTable | None = None) -> list[BoundCheck]:
+def check_ratio_bounds(spec: Spectrum, k: int) -> list[BoundCheck]:
     """The three explicit upper bounds on lambda_{k+1}/lambda_1."""
     d = spec.d
     k = _checked_k(spec, k, plus_one=True)
-    table = table or constants_table(d, p_list=())
-    hd = table.ratio_constant
+    hd = ratio_constant(d)
     lam1 = float(spec.values[0])
     lhs = float(spec.values[k])
-    slack = _slack(h, lhs)
+    slack = _slack(spec, lhs)
     ctx = {"k": k, "d": d, "lambda_1": lam1, "H_d": hd}
     rhs_direct = lam1 * (1 + (1 + d / 2) ** (2 / d) * hd ** (2 / d) * k ** (2 / d))
     rhs_sum = lam1 * (1 + 4 / d) * (1 + d / (d + 2) * hd ** (2 / d) * k ** (2 / d))
@@ -218,20 +213,19 @@ def check_ratio_bounds(spec: Spectrum, k: int, *, h: float | None = None,
     ]
 
 
-def check_yang(spec: Spectrum, k: int, *, h: float | None = None) -> BoundCheck:
+def check_yang(spec: Spectrum, k: int) -> BoundCheck:
     """sum_{j<=k} (lambda_{k+1}-lambda_j)(lambda_{k+1}-(1+4/d) lambda_j) <= 0."""
     d = spec.d
     k = _checked_k(spec, k, plus_one=True)
     lam = spec.values[: k + 1]
     lhs = float(((lam[k] - lam[:k]) * (lam[k] - (1 + 4 / d) * lam[:k])).sum())
     return _make_check(
-        "yang", lhs, 0.0, -lhs, _slack(h, float(lam[k]) ** 2 * k),
+        "yang", lhs, 0.0, -lhs, _slack(spec, float(lam[k]) ** 2 * k),
         {"k": k, "d": d, "lambda_1": float(lam[0])},
     )
 
 
-def check_yang_corollaries(spec: Spectrum, k: int, *,
-                           h: float | None = None) -> list[BoundCheck]:
+def check_yang_corollaries(spec: Spectrum, k: int) -> list[BoundCheck]:
     """Second Yang, Hile-Protter and Payne-Polya-Weinberger consequences.
 
     Hile-Protter divides by the gaps lambda_{k+1} - lambda_j; when the top gap
@@ -242,7 +236,7 @@ def check_yang_corollaries(spec: Spectrum, k: int, *,
     k = _checked_k(spec, k, plus_one=True)
     lam = spec.values[: k + 1]
     mean = float(lam[:k].mean())
-    slack = _slack(h, lam[k])
+    slack = _slack(spec, lam[k])
     ctx = {"k": k, "d": d, "lambda_1": float(lam[0])}
 
     y = _make_check("yang-second", float(lam[k]), (1 + 4 / d) * mean,
@@ -263,8 +257,7 @@ def check_yang_corollaries(spec: Spectrum, k: int, *,
     return [y, hp, ppw]
 
 
-def check_sup_norm_riesz_lower(spec: Spectrum, sup_norm_omega: float, lam: float, *,
-                               h: float | None = None) -> BoundCheck:
+def check_sup_norm_riesz_lower(spec: Spectrum, sup_norm_omega: float, lam: float) -> BoundCheck:
     """Riesz mean >= (2 v_d/((d+2)(2 pi)^d)) ||omega||_inf^{-2} (lambda-lambda_1)_+^{1+d/2},
     with omega a unit-L2 ground state."""
     d = spec.d
@@ -276,7 +269,7 @@ def check_sup_norm_riesz_lower(spec: Spectrum, sup_norm_omega: float, lam: float
         * sup_norm_omega**-2 * max(lam - lam1, 0.0) ** (1 + d / 2)
     return _make_check(
         "ground-state-riesz-lower", lhs, rhs, rhs - lhs,
-        _slack(h, lam ** (1 + d / 2) / sup_norm_omega**2),
+        _slack(spec, lam ** (1 + d / 2) / sup_norm_omega**2),
         {"lambda": lam, "d": d, "lambda_1": lam1, "sup_norm": sup_norm_omega},
     )
 
@@ -285,23 +278,18 @@ def check_sup_norm_riesz_lower(spec: Spectrum, sup_norm_omega: float, lam: float
 # check registry
 
 #: Config check name -> (parameter key, check call).  The parameter key is
-#: ``ks`` or ``lambdas``, and ``run(spec, x, h=, table=, sup=)`` evaluates the
-#: check at parameter x on a grid of spacing h (None for an exact spectrum);
-#: ``sup`` is the sup norm of the unit-L2 ground state (None when analytic).
-#: The calls look each check function up by its module-level name when they
-#: run, so a wrapper installed on this module sees every call.
+#: ``ks`` or ``lambdas``, and ``run(spec, x, sup)`` evaluates the check at
+#: parameter x; ``sup`` is the sup norm of the unit-L2 ground state (None when
+#: analytic).  The calls look each check function up by its module-level name
+#: when they run, so a wrapper installed on this module sees every call.
 CHECKS: dict[str, tuple] = {
-    "berezin-li-yau": ("lambdas", lambda spec, lam, h, **_:
-                       check_berezin_li_yau(spec, spec.measure, lam, h=h)),
-    "li-yau": ("ks", lambda spec, k, h, **_: check_li_yau(spec, spec.measure, k, h=h)),
-    "riesz-mean-lower": ("lambdas", lambda spec, lam, h, table, **_:
-                         check_riesz_lower(spec, lam, h=h, table=table)),
-    "shifted-sum-upper": ("ks", lambda spec, k, h, table, **_:
-                          check_shifted_sum_upper(spec, k, h=h, table=table)),
-    "ratio-bounds": ("ks", lambda spec, k, h, table, **_:
-                     check_ratio_bounds(spec, k, h=h, table=table)),
-    "yang": ("ks", lambda spec, k, h, **_: check_yang(spec, k, h=h)),
-    "yang-corollaries": ("ks", lambda spec, k, h, **_: check_yang_corollaries(spec, k, h=h)),
-    "ground-state-riesz-lower": ("lambdas", lambda spec, lam, h, sup, **_:
-                                 check_sup_norm_riesz_lower(spec, sup, lam, h=h)),
+    "berezin-li-yau": ("lambdas", lambda spec, lam, sup: check_berezin_li_yau(spec, lam)),
+    "li-yau": ("ks", lambda spec, k, sup: check_li_yau(spec, k)),
+    "riesz-mean-lower": ("lambdas", lambda spec, lam, sup: check_riesz_lower(spec, lam)),
+    "shifted-sum-upper": ("ks", lambda spec, k, sup: check_shifted_sum_upper(spec, k)),
+    "ratio-bounds": ("ks", lambda spec, k, sup: check_ratio_bounds(spec, k)),
+    "yang": ("ks", lambda spec, k, sup: check_yang(spec, k)),
+    "yang-corollaries": ("ks", lambda spec, k, sup: check_yang_corollaries(spec, k)),
+    "ground-state-riesz-lower": ("lambdas", lambda spec, lam, sup:
+                                 check_sup_norm_riesz_lower(spec, sup, lam)),
 }

@@ -10,8 +10,8 @@ runs in the matrix's own dtype: real float64 arithmetic when every link phase
 is zero, complex otherwise.
 
 Half-size solve.  When the operator knows its nodes' checkerboard colours
-and its diagonal is one constant alpha (a constant potential, assembled
-directly, not through ``gauge_shift``), every link joins the two colours and
+and its diagonal is one constant alpha (a constant potential; ``gauge_shift``
+keeps the diagonal exactly), every link joins the two colours and
 H = alpha I + [[0, B], [B^H, 0]].  Its eigenvalues below alpha are
 alpha - sigma_i, with sigma_i the singular values of B.  The solve then
 factors and iterates on S = alpha I - B^H B / alpha over the smaller colour
@@ -52,12 +52,12 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted positive eigenvalues with provenance."""
+    """Sorted positive eigenvalues, their domain's measure and grid spacing h (None if exact)."""
 
     d: int
     values: np.ndarray
-    source: str  # "analytic" or "discrete(h=...)"
-    measure: float | None = None
+    measure: float
+    h: float | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -68,6 +68,10 @@ class Spectrum:
 
     def __len__(self) -> int:
         return self.values.size
+
+    @property
+    def source(self) -> str:  # provenance, as reports print it
+        return "analytic" if self.h is None else f"discrete(h={self.h:.12g})"
 
 
 def _degeneracy_flags(values: np.ndarray) -> np.ndarray:
@@ -235,10 +239,4 @@ def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10
             raise NumericalError(f"eigenpair {j} residual {res:.2e} exceeds tolerance")
         pairs.append(EigenPair(value=float(vals[j]), vector=v, residual=float(res)))
 
-    spectrum = Spectrum(
-        d=2,
-        values=vals.copy(),
-        source=f"discrete(h={op.h:.12g})",
-        measure=op.measure,
-    )
-    return spectrum, pairs
+    return Spectrum(d=2, values=vals.copy(), h=op.h, measure=op.measure), pairs

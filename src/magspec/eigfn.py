@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundCheck, _make_check
-from .specfun import ConstantsTable, bessel_j, bessel_zero, constants_table, \
+from .specfun import bessel_j, bessel_zero, chiti_constant, heat_kernel_constant, \
     radial_bessel_integral, sphere_area, unit_ball_volume
 
 __all__ = [
@@ -113,18 +113,17 @@ def z_lp_norm(lam: float, d: int, p: float) -> float:
     return root * lam ** ((p * nu - d) / (2 * p))
 
 
-def chiti_check(omega: np.ndarray, h: float, lam: float, d: int, p: float = 2.0,
-                table: ConstantsTable | None = None) -> list[BoundCheck]:
+def chiti_check(omega: np.ndarray, h: float, lam: float, d: int,
+                p: float = 2.0) -> list[BoundCheck]:
     """Sharp and heat-kernel sup-norm bounds for an eigenfunction of eigenvalue lam:
     ||omega||_inf <= C_d(p) lam^{d/2p} ||omega||_p  and
     ||omega||_inf <= (e/(d pi))^{d/4} lam^{d/4} ||omega||_2, both with zero slack."""
-    if table is None or float(p) not in table.chiti_p:
-        table = constants_table(d, p_list=(float(p), 2.0))
-    rep = norms(omega, h, p_list=(float(p), 2.0))
-    ctx = {"lambda": lam, "d": d, "p": float(p), "sup_norm": rep.sup_norm}
-    c_p = table.chiti_p[float(p)]
-    rhs_sharp = c_p * lam ** (d / (2 * float(p))) * rep.lp[float(p)]
-    rhs_heat = table.heat_kernel * lam ** (d / 4) * rep.lp[2.0]
+    p = float(p)
+    c_p, heat = chiti_constant(d, p), heat_kernel_constant(d)
+    rep = norms(omega, h, p_list=(p, 2.0))
+    ctx = {"lambda": lam, "d": d, "p": p, "sup_norm": rep.sup_norm}
+    rhs_sharp = c_p * lam ** (d / (2 * p)) * rep.lp[p]
+    rhs_heat = heat * lam ** (d / 4) * rep.lp[2.0]
     return [
         _make_check("chiti-sup-bound", rep.sup_norm, rhs_sharp,
                     rhs_sharp - rep.sup_norm, 0.0, ctx),

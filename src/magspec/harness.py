@@ -28,7 +28,7 @@ from .domain import Annulus, Disk, GaugeSpec, LShape, MaskFile, PotentialSpec, R
 from .eigensolve import EigenPair, Spectrum, _degeneracy_flags, lowest_eigenpairs
 from .errors import InputDataError, NumericalError, TruncationError
 from .operator import assemble
-from .specfun import ConstantsTable, constants_table
+from .specfun import constants_table
 
 __all__ = [
     "parse_config",
@@ -217,13 +217,14 @@ def _exact(block: dict, where: str) -> Exact:
 _CHECK_PARAMS = {"ks": "count", "lambdas": "nonnegative", "lambda_indices": "count"}
 
 
-def _check(chk, grid: bool) -> tuple[str, tuple, tuple]:
+def _check(chk, spectrum: Exact | Grid) -> tuple[str, tuple, tuple]:
+    """A check entry, with its lambda indices checked against the spectrum's length."""
     if not isinstance(chk, dict):
         raise InputDataError(f"each entry of 'checks' must be a JSON object, got {chk!r}")
     name = chk.get("name")
     if not isinstance(name, str) or name not in bounds.CHECKS:
         raise InputDataError(f"unknown check {name!r}")
-    if name == "ground-state-riesz-lower" and not grid:
+    if name == "ground-state-riesz-lower" and isinstance(spectrum, Exact):
         raise InputDataError(f"{name} needs a grid scenario with computed eigenfunctions")
     param = bounds.CHECKS[name][0]
     keys = ("ks",) if param == "ks" else ("lambdas", "lambda_indices")
@@ -234,6 +235,10 @@ def _check(chk, grid: bool) -> tuple[str, tuple, tuple]:
     if not values + indices:
         raise InputDataError(f"a {name} check needs a value under "
                              f"{' or '.join(map(repr, keys))}")
+    length = spectrum.count if isinstance(spectrum, Exact) else spectrum.k
+    if indices and max(indices) > length:
+        raise TruncationError(f"lambda index {max(indices)} exceeds computed spectrum "
+                              f"length {length}")
     return name, values, indices
 
 
@@ -261,7 +266,7 @@ def parse_config(config: dict) -> Scenario:
     checks = config.get("checks", [])
     if not isinstance(checks, list):
         raise InputDataError(f"'checks' must be a list, got {checks!r}")
-    return Scenario(spectrum, [_check(chk, isinstance(spectrum, Grid)) for chk in checks],
+    return Scenario(spectrum, [_check(chk, spectrum) for chk in checks],
                     _eigenfunction(_object(config, "eigenfunction")),
                     _exact(_object(config, "reference"), "reference")
                     if "reference" in config else None)
@@ -278,19 +283,15 @@ def build_spectrum(source: Exact | Grid) -> tuple[Spectrum, list[EigenPair]]:
     return lowest_eigenpairs(op, source.k, source.tol)
 
 
-def _run_checks(checks: list, spec: Spectrum, pairs: list[EigenPair], h: float | None,
-                table: ConstantsTable) -> tuple[list, list]:
+def _run_checks(checks: list, spec: Spectrum, pairs: list[EigenPair]) -> tuple[list, list]:
     results, errors = [], []
     sup = float(np.abs(pairs[0].vector).max()) if pairs else None
     for name, values, indices in checks:
         param, run = bounds.CHECKS[name]
-        if indices and max(indices) > len(spec):
-            raise TruncationError(f"lambda index {max(indices)} exceeds computed spectrum "
-                                  f"length {len(spec)}")
         key = "k" if param == "ks" else "lambda"
         for x in values + tuple(float(spec.values[j - 1]) for j in indices):
             try:
-                out = run(spec, x, h=h, table=table, sup=sup)
+                out = run(spec, x, sup)
             except (TruncationError, ValueError, NumericalError) as exc:
                 errors.append({"check": name, "error": type(exc).__name__, "message": str(exc),
                                key: x})
@@ -299,18 +300,18 @@ def _run_checks(checks: list, spec: Spectrum, pairs: list[EigenPair], h: float |
     return results, errors
 
 
-def _run_eigenfunction(eig: dict | None, spec: Spectrum, pairs: list[EigenPair],
-                       h: float | None, table: ConstantsTable) -> tuple[dict, list]:
+def _run_eigenfunction(eig: dict | None, spec: Spectrum,
+                       pairs: list[EigenPair]) -> tuple[dict, list]:
     if eig is None or not pairs:
         return {}, []
-    omega, lam = pairs[0].vector, pairs[0].value
+    omega, lam, h = pairs[0].vector, pairs[0].value, spec.h
     rep = eigfn.norms(omega, h, p_list=(1.0, 2.0))
     out = {"norms": {"sup_norm": rep.sup_norm, "lp": {str(p): v for p, v in rep.lp.items()},
                      "l2_normalized": rep.l2_normalized},
            "ground_state_degenerate": bool(_degeneracy_flags(spec.values[:2])[0])}
     checks = []
     if eig["chiti"]:
-        checks.extend(eigfn.chiti_check(omega, h, lam, spec.d, p=eig["p"], table=table))
+        checks.extend(eigfn.chiti_check(omega, h, lam, spec.d, p=eig["p"]))
     if eig["comparison"]:
         inclusion, domination = eigfn.comparison_check(omega, h, lam, spec.d, spec.measure)
         checks.extend([inclusion, domination])
@@ -351,18 +352,16 @@ def run_scenario(config: dict) -> dict:
     t_start = time.perf_counter()
     spec, pairs = build_spectrum(scenario.spectrum)
     t_solve = time.perf_counter() - t_start
-    table = constants_table(spec.d, p_list=(1.0, 2.0))
-    h = scenario.spectrum.h if isinstance(scenario.spectrum, Grid) else None
-    check_results, errors = _run_checks(scenario.checks, spec, pairs, h, table)
-    eig_out, eig_checks = _run_eigenfunction(scenario.eigenfunction, spec, pairs, h, table)
+    check_results, errors = _run_checks(scenario.checks, spec, pairs)
+    eig_out, eig_checks = _run_eigenfunction(scenario.eigenfunction, spec, pairs)
     check_results = check_results + eig_checks
 
     hard = [c for c in check_results if c.applicable and not c.diagnostic]
     overall = all(c.passed for c in hard)
     return {
         "config": _jsonable(config),
-        "constants": _jsonable(table),
-        "notes": [_COMPACT_RESOLVENT_NOTE] if spec.source != "analytic" else [],
+        "constants": _jsonable(constants_table(spec.d, p_list=(1.0, 2.0))),
+        "notes": [_COMPACT_RESOLVENT_NOTE] if spec.h is not None else [],
         "spectrum": {
             "d": spec.d,
             "source": spec.source,
@@ -422,10 +421,6 @@ def convergence_study(config: dict, levels: int) -> dict:
     with np.errstate(divide="ignore", invalid="ignore"):
         orders = [np.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
     report["observed_orders"] = [_jsonable(o) for o in orders]
-
-    if len(level_values) >= 2:
-        fine, coarse = level_values[-1], level_values[-2]
-        report["richardson_extrapolated"] = _jsonable(fine + (fine - coarse) / 3.0)
     return report
 
 

@@ -34,7 +34,6 @@ class MagneticOperator:
 
     matrix: sp.csr_matrix  # n x n; float64 when every link phase is 0, else complex128
     h: float
-    measure: float
     #: Checkerboard colour (i + j) mod 2 of each interior node, or None if
     #: unknown.  Every nonzero off-diagonal entry joins the two colours, so when
     #: the diagonal is also one constant the eigensolver factors and iterates on
@@ -44,6 +43,10 @@ class MagneticOperator:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def measure(self) -> float:
+        return self.n * self.h**2
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product H v."""
@@ -97,8 +100,7 @@ def assemble(dom: GridDomain, gauge: GaugeSpec, pot: PotentialSpec) -> MagneticO
         (data if phased else data.real, (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     )
-    return MagneticOperator(matrix=mat, h=h, measure=dom.measure,
-                            colour=((ii + jj) % 2).astype(np.int8))
+    return MagneticOperator(matrix=mat, h=h, colour=((ii + jj) % 2).astype(np.int8))
 
 
 def gauge_shift(op: MagneticOperator, chi: np.ndarray) -> MagneticOperator:
@@ -112,4 +114,5 @@ def gauge_shift(op: MagneticOperator, chi: np.ndarray) -> MagneticOperator:
     u = np.exp(1j * chi)
     d = sp.diags(u)
     mat = (d @ op.matrix @ sp.diags(np.conj(u))).tocsr()
-    return MagneticOperator(matrix=mat, h=op.h, measure=op.measure, colour=op.colour)
+    mat.setdiag(op.matrix.diagonal())  # exactly: |exp(i chi)|^2 is 1 only up to rounding
+    return MagneticOperator(matrix=mat, h=op.h, colour=op.colour)

@@ -9,6 +9,8 @@ all of them, and a closing Newton step through ``special.jv`` checks them.
 :func:`bessel_zeros` and :func:`bessel_zero` are views of it.  Supported
 orders are the integers and half-integers in [0, MAX_ORDER].
 
+H_d, C_d(p) and the heat-kernel constant are each one cached function, which
+the checks read and :func:`constants_table` collects.
 The sharp sup-norm constants C_d(p) and the L_p norms of the radial ball
 profile both rest on one radial Bessel integral, :func:`radial_bessel_integral`.
 Its integrand vanishes like (j1 - r)^p at the first zero j1, so a fixed
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -40,6 +42,9 @@ __all__ = [
     "radial_bessel_integral",
     "unit_ball_volume",
     "sphere_area",
+    "ratio_constant",
+    "chiti_constant",
+    "heat_kernel_constant",
     "constants_table",
 ]
 
@@ -195,19 +200,15 @@ def sphere_area(d: int) -> float:
 
 @dataclass(frozen=True)
 class ConstantsTable:
-    """All explicit constants of the eigenvalue bounds in dimension d.
-
-    ``chiti_p`` maps p > 0 to the sharp sup-norm constant C_d(p), computed
-    from :func:`radial_bessel_integral`; ``chiti_closed`` is its closed form
-    at p = 2 and ``heat_kernel`` the non-sharp constant (e/(d pi))^{d/4}.
-    """
+    """The explicit constants of dimension d, as reports print them: ``chiti_p`` maps
+    p to :func:`chiti_constant`, and ``chiti_closed`` is its closed form at p = 2."""
 
     d: int
     ball_volume: float
     ratio_constant: float  # H_d, entering the lambda_1-normalized sum bounds
     chiti_closed: float
     heat_kernel: float
-    chiti_p: dict[float, float] = field(default_factory=dict)
+    chiti_p: dict[float, float]
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,36 +252,51 @@ def radial_bessel_integral(d: int, p: float) -> float:
     return val
 
 
-def _chiti_quadrature(d: int, p: float) -> float:
-    """C_d(p) = (2^(p nu) Gamma(d/2)^p |S^(d-1)| I_d(p))^(-1/p), with the p-th
-    powers taken out of the root so that none can overflow."""
+def _dimension(d: int) -> int:
+    d = int(d)
+    if not MIN_DIM <= d <= MAX_DIM:
+        raise ValueError(f"dimension must be in [{MIN_DIM}, {MAX_DIM}], got {d}")
+    return d
+
+
+@functools.lru_cache(maxsize=None)
+def ratio_constant(d: int) -> float:
+    """H_d = 2d / (j1^2 J_{d/2}(j1)^2), j1 the first zero of J_{(d-2)/2}; cached per d."""
+    d = _dimension(d)
+    j1 = bessel_zero((d - 2) / 2.0, 1)
+    return 2.0 * d / (j1**2 * bessel_j(d / 2.0, j1) ** 2)
+
+
+@functools.lru_cache(maxsize=None)
+def chiti_constant(d: int, p: float) -> float:
+    """The sharp sup-norm constant C_d(p) = (2^(p nu) Gamma(d/2)^p |S^(d-1)| I_d(p))^(-1/p),
+    nu = (d-2)/2, with the p-th powers taken out of the root against overflow; cached per (d, p)."""
+    if not 0 < float(p) < math.inf:
+        raise ValueError(f"Chiti exponent p must be a finite positive number, got {p}")
+    d, p = _dimension(d), float(p)
     nu = (d - 2) / 2.0
     root = (sphere_area(d) * radial_bessel_integral(d, p)) ** (-1.0 / p)
     return root / (2.0**nu * math.gamma(d / 2))
 
 
-def constants_table(d: int, p_list: tuple[float, ...] | list[float] = (1.0, 2.0)) -> ConstantsTable:
-    """Compute the full constants table for dimension d (2 <= d <= 10)."""
-    d = int(d)
-    if not MIN_DIM <= d <= MAX_DIM:
-        raise ValueError(f"dimension must be in [{MIN_DIM}, {MAX_DIM}], got {d}")
-    for p in p_list:
-        if not 0 < float(p) < math.inf:
-            raise ValueError(f"Chiti exponent p must be a finite positive number, got {p}")
+@functools.lru_cache(maxsize=None)
+def heat_kernel_constant(d: int) -> float:
+    """The non-sharp sup-norm constant (e/(d pi))^{d/4}; cached per d."""
+    d = _dimension(d)
+    return (math.e / (d * math.pi)) ** (d / 4)
 
-    nu = (d - 2) / 2.0
-    j1 = bessel_zero(nu, 1)
+
+def constants_table(d: int, p_list: tuple[float, ...] | list[float] = (1.0, 2.0)) -> ConstantsTable:
+    """The constants table for dimension d (2 <= d <= 10), C_d(p) for each p in p_list."""
+    d = _dimension(d)
+    j1 = bessel_zero((d - 2) / 2.0, 1)
     jd2 = bessel_j(d / 2.0, j1)
-    v_d = unit_ball_volume(d)
-    ratio_c = 2.0 * d / (j1**2 * jd2**2)
     chiti_closed = (math.pi ** (d / 2) * 2.0 ** (d - 2) * math.gamma(d / 2) * j1**2 * jd2**2) ** -0.5
-    heat = (math.e / (d * math.pi)) ** (d / 4)
-    chiti_p = {float(p): _chiti_quadrature(d, float(p)) for p in p_list}
     return ConstantsTable(
         d=d,
-        ball_volume=v_d,
-        ratio_constant=ratio_c,
+        ball_volume=unit_ball_volume(d),
+        ratio_constant=ratio_constant(d),
         chiti_closed=chiti_closed,
-        heat_kernel=heat,
-        chiti_p=chiti_p,
+        heat_kernel=heat_kernel_constant(d),
+        chiti_p={float(p): chiti_constant(d, p) for p in p_list},
     )

@@ -40,17 +40,17 @@ def disk_ground_h128():
     return dom, spec, pairs[0]
 
 
-def _all_bound_checks(spec, measure, lambdas, ks):
+def _all_bound_checks(spec, lambdas, ks):
     """Every inequality in the bounds module on one spectrum, each paired with
     the scale its slack is taken from here."""
     checks = []
     for lam in lambdas:
         scale = lam ** (1 + spec.d / 2)
-        checks.append((ms.check_berezin_li_yau(spec, measure, lam), scale * measure))
+        checks.append((ms.check_berezin_li_yau(spec, lam), scale * spec.measure))
         checks.append((ms.check_riesz_lower(spec, lam), scale / spec.values[0] ** (spec.d / 2)))
     for k in ks:
         scale_k = float(spec.values[min(k, len(spec) - 1)])
-        checks.append((ms.check_li_yau(spec, measure, k), float(spec.values[:k].sum())))
+        checks.append((ms.check_li_yau(spec, k), float(spec.values[:k].sum())))
         checks.append((ms.check_shifted_sum_upper(spec, k),
                        spec.values[0] * k ** (1 + 2 / spec.d)))
         if k <= len(spec) - 1:
@@ -111,7 +111,8 @@ def test_criterion_2_analytic_inequality_suite():
         lam1, lam_max = float(spec.values[0]), float(spec.values[-1])
         lambdas = np.linspace(1.2 * lam1, 0.98 * lam_max, 7)
         ks = [1, 2, 5, 20, 100, 200]
-        checks = _all_bound_checks(spec, measure, lambdas, ks)
+        ok &= spec.measure == pytest.approx(measure, rel=1e-14)
+        checks = _all_bound_checks(spec, lambdas, ks)
         total += len(checks)
         ok &= _all_hold(checks, lambda s: ms.ANALYTIC_SLACK_RTOL * abs(s))
     assert total > 400
@@ -194,7 +195,8 @@ def test_criterion_6_magnetic_suite(magnetic_h64, square_ground_state_h64):
     # the full inequality battery at discrete slack
     lam1, lam_max = float(spec.values[0]), float(spec.values[-1])
     lambdas = np.linspace(1.2 * lam1, 0.98 * lam_max, 5)
-    checks = _all_bound_checks(spec, dom.measure, lambdas, [1, 2, 5, 10, 19])
+    ok &= spec.measure == dom.measure and spec.h == h
+    checks = _all_bound_checks(spec, lambdas, [1, 2, 5, 10, 19])
     ok &= _all_hold(checks, lambda s: ms.discrete_slack(h, s))
     _report(6, "magnetic suite: gauge 1e-9, diamagnetic, bounds at 10*h^2", ok)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -12,8 +13,8 @@ import magspec as ms
 from magspec import bounds
 
 
-def _toy_spectrum(values, d=2):
-    return ms.Spectrum(d=d, values=np.asarray(values, dtype=float), source="analytic")
+def _toy_spectrum(values, d=2, h=None, measure=1.0):
+    return ms.Spectrum(d=d, values=np.asarray(values, dtype=float), h=h, measure=measure)
 
 
 class TestRieszMean:
@@ -72,12 +73,12 @@ class TestLegendreTransform:
 class TestBerezinLiYau:
     def test_square_holds_at_many_levels(self, square_spectrum):
         for lam in (5 * np.pi**2, 100.0, 500.0, 2000.0):
-            chk = ms.check_berezin_li_yau(square_spectrum, 1.0, lam)
+            chk = ms.check_berezin_li_yau(square_spectrum, lam)
             assert chk.passed and chk.margin >= 0
 
     def test_worked_value(self, square_spectrum):
         lam = 5 * np.pi**2
-        chk = ms.check_berezin_li_yau(square_spectrum, 1.0, lam)
+        chk = ms.check_berezin_li_yau(square_spectrum, lam)
         assert chk.lhs == pytest.approx(3 * np.pi**2, rel=1e-12)
         # (2/(d+2)) v_d (2 pi)^{-d} |Omega| lam^2 = lam^2/(8 pi) = 96.89 at d = 2
         assert chk.rhs == pytest.approx(lam**2 / (8 * np.pi), rel=1e-12)
@@ -88,24 +89,23 @@ class TestBerezinLiYau:
         # the Li-Yau bound on sum_{j<=k} lambda_j is sup_lam (k lam - rhs(lam)),
         # rhs the Berezin-Li-Yau bound on the Riesz mean, here maximised
         # numerically; eigenvalues far above every lam keep the Riesz mean 0
-        spec = _toy_spectrum(np.full(400, 1e12), d=d)
-        measure = 0.7
+        spec = _toy_spectrum(np.full(400, 1e12), d=d, measure=0.7)
 
         for k in (1, 7, 50, 400):
             best = optimize.minimize_scalar(
-                lambda lam: ms.check_berezin_li_yau(spec, measure, lam).rhs - k * lam,
+                lambda lam: ms.check_berezin_li_yau(spec, lam).rhs - k * lam,
                 bounds=(0.0, 1e6), method="bounded", options={"xatol": 1e-8})
-            assert ms.check_li_yau(spec, measure, k).lhs == pytest.approx(-best.fun, rel=1e-9)
+            assert ms.check_li_yau(spec, k).lhs == pytest.approx(-best.fun, rel=1e-9)
 
 
 class TestLiYau:
     def test_square_holds(self, square_spectrum):
         for k in (1, 5, 50, 200):
-            chk = ms.check_li_yau(square_spectrum, 1.0, k)
+            chk = ms.check_li_yau(square_spectrum, k)
             assert chk.passed and chk.margin >= 0
 
     def test_ground_state_value(self, square_spectrum):
-        chk = ms.check_li_yau(square_spectrum, 1.0, 1)
+        chk = ms.check_li_yau(square_spectrum, 1)
         assert chk.lhs == pytest.approx(2 * np.pi, rel=1e-12)
         assert chk.rhs == pytest.approx(2 * np.pi**2, rel=1e-12)
 
@@ -155,13 +155,12 @@ class TestShiftedSumUpper:
         # bound, here maximised numerically; both read only lambda_1
         lam1 = 3.7
         spec = _toy_spectrum(np.r_[lam1, np.full(399, 1e12)], d=d)
-        table = ms.constants_table(d, p_list=())
 
         for k in (1, 7, 50, 400):
             best = optimize.minimize_scalar(
-                lambda lam: ms.check_riesz_lower(spec, lam, table=table).lhs - k * (lam - lam1),
+                lambda lam: ms.check_riesz_lower(spec, lam).lhs - k * (lam - lam1),
                 bounds=(lam1, 1e6), method="bounded", options={"xatol": 1e-8})
-            assert ms.check_shifted_sum_upper(spec, k, table=table).rhs == pytest.approx(
+            assert ms.check_shifted_sum_upper(spec, k).rhs == pytest.approx(
                 -best.fun, rel=1e-9)
 
 
@@ -221,25 +220,51 @@ class TestSlackPolicy:
         assert ms.discrete_slack(0.1, 100.0) == pytest.approx(10.0)
 
     def test_tolerance_pass_flagged(self):
-        spec = _toy_spectrum([1.0, 3.0000001])
+        spec = _toy_spectrum([1.0, 3.0000001], h=0.01)
         # ratio-ppw misses by 1e-7; h = 0.01 gives a slack of 10 h^2 lambda_2 = 3e-4
-        chk = ms.check_ratio_bounds(spec, 1, h=0.01)[2]
+        chk = ms.check_ratio_bounds(spec, 1)[2]
         assert chk.passed and chk.tolerance_pass
 
     def test_slack_is_derived_not_passed(self):
-        # every check takes the grid spacing h by keyword only and no slack,
-        # so a number in the old slack position cannot be read as h
+        # every check reads h, |Omega| and d from its spectrum and takes no
+        # slack, so a spectrum cannot be paired with another grid's slack
         names = [n for n in bounds.__all__ if n.startswith("check_")]
         assert len(names) == 8
         for name in names:
-            params = inspect.signature(getattr(bounds, name)).parameters
-            assert "slack" not in params, name
-            assert params["h"].kind is inspect.Parameter.KEYWORD_ONLY, name
-            assert params["h"].default is None, name
+            params = list(inspect.signature(getattr(bounds, name)).parameters)
+            assert params[0] == "spec", name
+            assert not {"slack", "h", "measure", "table"} & set(params), name
+
+    def test_grid_spectrum_carries_its_slack(self, magnetic_square_op):
+        # no h is passed: each check on a grid spectrum takes discrete_slack(spec.h, scale)
+        _, op = magnetic_square_op
+        spec, _ = ms.lowest_eigenpairs(op, 6)
+        assert spec.h == op.h == 1 / 16 and spec.measure == op.measure
+        vals, slack = spec.values, lambda scale: ms.discrete_slack(spec.h, scale)
+        lam = float(vals[3])
+        bly = ms.check_berezin_li_yau(spec, lam)
+        assert bly.slack == slack(bly.rhs)
+        assert ms.check_li_yau(spec, 4).slack == slack(float(vals[:4].sum()))
+        assert ms.check_riesz_lower(spec, lam).slack == slack(lam**2 / vals[0])
+        assert ms.check_shifted_sum_upper(spec, 4).slack == slack(vals[0] * 4**2)
+        assert {c.slack for c in ms.check_ratio_bounds(spec, 3)} == {slack(vals[3])}
+        assert ms.check_yang(spec, 3).slack == slack(float(vals[3]) ** 2 * 3)
+        assert {c.slack for c in ms.check_yang_corollaries(spec, 3)} == {slack(vals[3])}
+        assert ms.check_sup_norm_riesz_lower(spec, 2.0, lam).slack == slack(lam**2 / 4.0)
+        # the same values as an exact spectrum take the relative slack 1e-10
+        exact = dataclasses.replace(spec, h=None)
+        assert ms.check_yang(exact, 3).slack == ms.ANALYTIC_SLACK_RTOL * (float(vals[3]) ** 2 * 3)
+
+
+@pytest.mark.parametrize("h,source", [(None, "analytic"), (1 / 256, "discrete(h=0.00390625)"),
+                                      (1 / 40, "discrete(h=0.025)"), (0.1, "discrete(h=0.1)"),
+                                      (1 / 3, "discrete(h=0.333333333333)")])
+def test_source_text(h, source):
+    assert _toy_spectrum([1.0], h=h).source == source
 
 
 @pytest.mark.parametrize("check,top,note", [
-    (lambda spec, k: ms.check_li_yau(spec, 1.0, k), 4, ""),
+    (ms.check_li_yau, 4, ""),
     (ms.check_shifted_sum_upper, 4, ""),
     (ms.check_ratio_bounds, 3, " for lambda_(k+1)"),
     (ms.check_yang, 3, " for lambda_(k+1)"),

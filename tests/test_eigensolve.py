@@ -145,11 +145,11 @@ class TestCompleteness:
 class TestSpectrumType:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            ms.Spectrum(d=2, values=np.array([2.0, 1.0]), source="analytic")
+            ms.Spectrum(d=2, values=np.array([2.0, 1.0]), measure=1.0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            ms.Spectrum(d=2, values=np.array([0.0, 1.0]), source="analytic")
+            ms.Spectrum(d=2, values=np.array([0.0, 1.0]), measure=1.0)
 
 
 def lowest_values(shape, h, gauge, k=12):
@@ -314,15 +314,22 @@ class TestHalfSizeSolve:
         # the half-size attempt, then the full-size solve
         assert factored_sizes[:2] == [kept, op.n]
 
-    @pytest.mark.parametrize("make", ["radial-disk", "gauge-shifted-square"])
+    @pytest.mark.parametrize("make", ["radial-disk", "gauge-shifted-disk"])
     def test_full_size_otherwise(self, make, factored_sizes):
-        if make == "radial-disk":
-            op = ms.assemble(ms.build_domain(ms.Disk(1.0), 0.1), ms.GaugeSpec.uniform(2.0),
-                             ms.PotentialSpec.radial_quadratic(1.0))
-        else:
-            square = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16),
-                                 ms.GaugeSpec.none(), ms.PotentialSpec.zero())
-            op = ms.gauge_shift(square, np.random.default_rng(7).uniform(-np.pi, np.pi, square.n))
-            assert op.colour is square.colour
+        # a non-constant diagonal, which a gauge shift keeps
+        op = ms.assemble(ms.build_domain(ms.Disk(1.0), 0.1), ms.GaugeSpec.uniform(2.0),
+                         ms.PotentialSpec.radial_quadratic(1.0))
+        if make == "gauge-shifted-disk":
+            op = ms.gauge_shift(op, np.random.default_rng(7).uniform(-np.pi, np.pi, op.n))
         assert_pairs_match_dense(op, *ms.lowest_eigenpairs(op, 6))
         assert factored_sizes and set(factored_sizes) == {op.n}
+
+    def test_gauge_shifted_square_on_half_grid(self, factored_sizes):
+        # gauge_shift keeps the constant diagonal exactly, so the conjugated
+        # square is still alpha I + [[0, B], [B^H, 0]] and solves on one colour
+        square = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16),
+                             ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+        op = ms.gauge_shift(square, np.random.default_rng(7).uniform(-np.pi, np.pi, square.n))
+        assert op.colour is square.colour
+        assert_pairs_match_dense(op, *ms.lowest_eigenpairs(op, 6))
+        assert factored_sizes and set(factored_sizes) == {np.bincount(op.colour).min()}

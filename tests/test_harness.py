@@ -259,7 +259,8 @@ class TestConvergenceStudy:
         orders = np.asarray(report["observed_orders"])
         assert orders.shape == (2, 4)
         assert np.all(np.abs(orders[-1] - 2.0) < 0.2)
-        assert "richardson_extrapolated" in report
+        # fine + (fine - coarse)/3 assumed order 2; the report carries no extrapolation
+        assert "richardson_extrapolated" not in report
 
     def test_self_convergence_without_reference(self):
         report = harness.convergence_study(grid_config(h=1 / 8, k=2), levels=3)
@@ -734,6 +735,27 @@ class TestCli:
         cfg_path.write_text(json.dumps(grid_config(checks=checks)))
         assert cli.main([command, "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "convergence"])
+    @pytest.mark.parametrize("config,length", [
+        (grid_config(k=3, checks=[{"name": "yang", "ks": [1]},
+                                  {"name": "berezin-li-yau", "lambda_indices": [2, 5]}]), 3),
+        (box_config(spectrum={"type": "box", "lengths": [1.0, 1.0], "count": 40},
+                    checks=[{"name": "riesz-mean-lower", "lambda_indices": [41]}]), 40),
+    ], ids=["grid", "box"])
+    def test_lambda_index_beyond_the_spectrum_refused_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, command, config, length):
+        # the spectrum's length is the solver's k or the analytic count
+        def solve(*args):
+            raise AssertionError("solved before the lambda indices were checked")
+
+        monkeypatch.setattr(harness, "build_spectrum", solve)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        index = config["checks"][-1]["lambda_indices"][-1]
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: lambda index {index} exceeds computed spectrum length {length}\n"
 
     def test_empty_checks_list_is_valid(self, tmp_path, capsys):
         # convergence configs carry no checks; verify then has nothing to fail

@@ -128,6 +128,19 @@ class TestGaugeInvariance:
         v0, v1 = spectrum_of(op), spectrum_of(shifted)
         assert np.max(np.abs(v1 - v0) / v0) < 1e-9
 
+    @pytest.mark.parametrize("pot", [ms.PotentialSpec.zero(),
+                                     ms.PotentialSpec.radial_quadratic(3.0, (0.4, 0.6))],
+                             ids=["constant", "radial"])
+    def test_diagonal_kept_bit_for_bit(self, pot):
+        # |exp(i chi)|^2 is 1 only up to rounding; the product's diagonal is
+        # replaced by the original one, in the same sparsity structure
+        op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 64),
+                         ms.GaugeSpec.uniform(5.0), pot)
+        shifted = ms.gauge_shift(op, np.random.default_rng(1).normal(scale=10.0, size=op.n))
+        assert np.array_equal(shifted.matrix.diagonal(), op.matrix.diagonal())
+        assert np.array_equal(shifted.matrix.indptr, op.matrix.indptr)
+        assert np.array_equal(shifted.matrix.indices, op.matrix.indices)
+
     def test_chi_length_mismatch(self, magnetic_square_op):
         _, op = magnetic_square_op
         with pytest.raises(ValueError):

@@ -161,6 +161,22 @@ class TestConstantsTable:
         # the sharp constant never exceeds the heat-kernel one
         assert t.chiti_closed <= t.heat_kernel
 
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_cached_constants_are_the_table(self, d):
+        # each cached constant, bit for bit, against the table's field and
+        # against its formula written out
+        t = constants_table(d, p_list=(1.0, 2.0, 3.7))
+        nu = (d - 2) / 2.0
+        j1 = bessel_zero(nu, 1)
+        assert specfun.ratio_constant(d) == t.ratio_constant \
+            == 2.0 * d / (j1**2 * bessel_j(d / 2.0, j1) ** 2)
+        assert specfun.heat_kernel_constant(d) == t.heat_kernel \
+            == (math.e / (d * math.pi)) ** (d / 4)
+        for p in (1.0, 2.0, 3.7):
+            quadrature = (specfun.sphere_area(d) * radial_bessel_integral(d, p)) ** (-1.0 / p) \
+                / (2.0**nu * math.gamma(d / 2))
+            assert specfun.chiti_constant(d, p) == t.chiti_p[p] == quadrature
+
     def test_ball_volumes(self):
         assert constants_table(2).ball_volume == pytest.approx(math.pi, rel=1e-14)
         assert constants_table(3).ball_volume == pytest.approx(4 * math.pi / 3, rel=1e-14)
@@ -193,6 +209,7 @@ class TestConstantsTable:
 
         monkeypatch.setattr(specfun.special, "roots_jacobi", counting)
         specfun._jacobi_rule.cache_clear()
+        specfun.chiti_constant.cache_clear()
         for _ in range(3):
             for d in (2, 3, 7):
                 constants_table(d, p_list=(1.0, 2.0, 3.7))
