@@ -9,18 +9,18 @@ start vector is fixed, so repeated solves give identical output.  The solve
 runs in the matrix's own dtype: real float64 arithmetic when every link phase
 is zero, complex otherwise.
 
-Half-size solve.  When the operator knows its nodes' checkerboard colours
-and its diagonal is one constant alpha (a constant potential; ``gauge_shift``
-keeps the diagonal exactly), every link joins the two colours and
-H = alpha I + [[0, B], [B^H, 0]].  Its eigenvalues below alpha are
-alpha - sigma_i, with sigma_i the singular values of B.  The solve then
-factors and iterates on S = alpha I - B^H B / alpha over the smaller colour
-class, maps each eigenvalue s of S to lambda = alpha s / (alpha +
-sqrt(alpha (alpha - s))) and lifts its vector x_b to the other class by
-x_r = -B x_b / (alpha - lambda).  The inertia count below sigma < alpha
-factors S - s(sigma) I with s(sigma) = sigma (2 alpha - sigma) / alpha, whose
-inertia is that of H - sigma I (Haynsworth: the other Schur block is
-(alpha - sigma) I > 0).  Residuals are still measured on the full H.  Any
+Colour split.  Every link joins the two checkerboard colours, so ordered by
+colour H = [[D_o, B], [B^H, D_k]], with D_o and D_k diagonal and k the
+smaller class.  Each solve splits H once.  The inertia count factors only
+the complement of the other class, about n/2 rows, for every potential and
+shift (Haynsworth): In(H - sigma I) = #{D_o < sigma} + In(D_k - sigma I -
+B^H (D_o - sigma I)^-1 B).  A sigma on D_o swaps the classes; only one on
+both is counted on H - sigma I.  With a constant diagonal alpha, the
+eigenvalues of H below alpha are alpha - sigma_i, sigma_i the singular
+values of B, so the solve factors and iterates on the sigma = 0 complement
+S = alpha I - B^H B / alpha, maps each eigenvalue s of S to lambda =
+alpha s / (alpha + sqrt(alpha (alpha - s))) and lifts its vector x_b by
+x_o = -B x_b / (alpha - lambda).  Residuals are still measured on H.  Any
 other operator, and any request whose values reach alpha / 2, where the lift
 would more than double the error of x_b, is solved at full size.
 """
@@ -106,20 +106,26 @@ def _factor(a: sp.spmatrix):
 
 
 @dataclass(frozen=True)
-class _Chiral:
-    """H = alpha I + [[0, B], [B^H, 0]] with the rows split by colour: B couples
-    the nodes `other` to the nodes `kept` of the smaller colour class."""
+class _Split:
+    """H split by colour: B = H[other, kept], `kept` the smaller class, D_o = diag(d_other),
+    D_k = diag(d_kept); alpha is the diagonal's value when it is one constant, else None."""
 
-    alpha: float
     kept: np.ndarray
     other: np.ndarray
     coupling: sp.csr_matrix  # B, len(other) x len(kept)
+    d_kept: np.ndarray
+    d_other: np.ndarray
+    alpha: float | None
 
-    def schur(self, diagonal: float) -> sp.csc_matrix:
-        """diagonal * I - B^H B / alpha on the kept class."""
-        gram = (self.coupling.getH() @ self.coupling).tocsc()
-        gram.data *= -1.0 / self.alpha
-        return gram + diagonal * sp.identity(self.kept.size, format="csc")
+    def complement(self, sigma: float) -> sp.csc_matrix:
+        """The complement D_k - sigma I - B^H (D_o - sigma I)^-1 B; S at sigma = 0."""
+        gram = self.coupling.getH() @ sp.diags(1.0 / (sigma - self.d_other)) @ self.coupling
+        return (gram + sp.diags(self.d_kept - sigma)).tocsc()
+
+    def swapped(self) -> _Split:
+        """The split with the roles of the two classes exchanged."""
+        return _Split(self.other, self.kept, self.coupling.getH().tocsr(), self.d_other,
+                      self.d_kept, self.alpha)
 
     def lift(self, xb: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Eigenvectors of H from those of S on the kept class, unit norm."""
@@ -131,38 +137,31 @@ class _Chiral:
         return x
 
 
-def _chiral(op: MagneticOperator) -> _Chiral | None:
-    """The two-colour split of the operator, or None unless its colours are
-    known and its diagonal is exactly one constant."""
-    if op.colour is None:
-        return None
-    diag = op.matrix.diagonal()
-    alpha = diag[0].real
-    if not np.all(diag == alpha):
-        return None
+def _split(op: MagneticOperator) -> _Split:
+    """The two-colour split of the operator."""
+    diag = op.matrix.diagonal().real
     odd = op.colour.astype(bool)
     kept, other = np.flatnonzero(odd), np.flatnonzero(~odd)
     if kept.size > other.size:
         kept, other = other, kept
-    return _Chiral(alpha=float(alpha), kept=kept, other=other,
-                   coupling=op.matrix[other][:, kept])
+    coupling = op.matrix[other][:, kept]
+    if op.matrix.nnz != op.n + 2 * coupling.nnz:
+        raise ValueError("an off-diagonal entry joins two nodes of one colour")
+    alpha = float(diag[0]) if np.all(diag == diag[0]) else None
+    return _Split(kept=kept, other=other, coupling=coupling, d_kept=diag[kept],
+                  d_other=diag[other], alpha=alpha)
 
 
-def _shifted(op: MagneticOperator, sigma: float) -> sp.spmatrix:
-    """A matrix with the inertia of H - sigma I: S - s(sigma) I on the kept
-    class when sigma < alpha, else H - sigma I itself."""
-    chiral = _chiral(op)
-    if chiral is not None and sigma < chiral.alpha:
-        # alpha - s(sigma) = (alpha - sigma)^2 / alpha, without cancellation
-        return chiral.schur((chiral.alpha - sigma) ** 2 / chiral.alpha)
-    return op.matrix - sigma * sp.identity(op.n, format="csr")
-
-
-def _count_below(op: MagneticOperator, sigma: float) -> int:
-    """Number of eigenvalues below sigma, by Sylvester's law of inertia."""
+def _count_below(op: MagneticOperator, split: _Split, sigma: float) -> int:
+    """Number of eigenvalues below sigma, by Sylvester's law and Haynsworth's additivity."""
+    if np.any(split.d_other == sigma):  # D_o - sigma I is singular: eliminate the kept class
+        split = split.swapped()
     # the shifted matrix is freed before U is exported; reading lu.U builds L and U
-    lu = _factor(_shifted(op, sigma))
-    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+    if np.any(split.d_other == sigma):  # sigma lies on both diagonal blocks
+        below, lu = 0, _factor(op.matrix - sigma * sp.identity(op.n, format="csr"))
+    else:
+        below, lu = int(np.count_nonzero(split.d_other < sigma)), _factor(split.complement(sigma))
+    return below + int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
 def _shift_invert(a: sp.spmatrix, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -189,16 +188,16 @@ def _shift_invert(a: sp.spmatrix, k: int, tol: float) -> tuple[np.ndarray, np.nd
     return vals[order], vecs[:, order]
 
 
-def _solve_sparse(op: MagneticOperator, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    chiral = _chiral(op)
+def _solve_sparse(op: MagneticOperator, split: _Split, k: int, tol: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    alpha = split.alpha
     # ARPACK needs k < n - 1 on the kept class too
-    if chiral is not None and k < chiral.kept.size - 1:
-        alpha = chiral.alpha
-        s, xb = _shift_invert(chiral.schur(alpha), k, tol)
+    if alpha is not None and k < split.kept.size - 1:
+        s, xb = _shift_invert(split.complement(0.0), k, tol)
         # lambda < alpha / 2, i.e. s < 3 alpha / 4: then ||B|| / (alpha - lambda) < 2
         if s[-1] < 0.75 * alpha:
             vals = alpha * s / (alpha + np.sqrt(alpha * (alpha - s)))
-            return vals, chiral.lift(xb, vals)
+            return vals, split.lift(xb, vals)
     return _shift_invert(op.matrix, k, tol)
 
 
@@ -212,12 +211,12 @@ def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10
         raise ValueError(f"tolerance must lie in [1e-12, 1e-4], got {tol}")
 
     # widen m until the inertia count below the k-th cluster agrees; ARPACK needs m < n - 1
-    m = k
+    m, split = k, _split(op)
     while m < op.n - 1:
-        vals, vecs = _solve_sparse(op, m, tol)
+        vals, vecs = _solve_sparse(op, split, m, tol)
         sigma = vals[k - 1] * (1 - DEGENERACY_RTOL)
         found = int(np.count_nonzero(vals < sigma))
-        inertia = _count_below(op, sigma)
+        inertia = _count_below(op, split, sigma)
         if inertia == found:
             break
         if inertia < found:

@@ -342,7 +342,7 @@ def _jsonable(obj):
         return [_jsonable(x) for x in obj]
     if obj is None or isinstance(obj, str):
         return obj
-    return str(obj)
+    raise TypeError(f"a {type(obj).__name__} cannot be written to a report")
 
 
 def run_scenario(config: dict) -> dict:

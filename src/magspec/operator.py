@@ -12,7 +12,7 @@ Every link joins a node of checkerboard colour (i + j) mod 2 to one of the
 other colour, so with a constant potential the matrix is alpha I plus a
 coupling between the two colour classes only.  ``assemble`` records each
 node's colour so that the eigensolver can work on one class (see
-``eigensolve``).
+``eigensolve``); ``gauge_shift`` keeps it.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ class MagneticOperator:
 
     matrix: sp.csr_matrix  # n x n; float64 when every link phase is 0, else complex128
     h: float
-    #: Checkerboard colour (i + j) mod 2 of each interior node, or None if
-    #: unknown.  Every nonzero off-diagonal entry joins the two colours, so when
-    #: the diagonal is also one constant the eigensolver factors and iterates on
-    #: one colour class only (about n/2 rows); otherwise it solves at full size.
-    colour: np.ndarray | None = None
+    #: Checkerboard colour (i + j) mod 2 of each interior node.  Every nonzero
+    #: off-diagonal entry joins the two colours, so the eigensolver's inertia
+    #: count factors one colour class only (about n/2 rows), and so does its
+    #: solve when the diagonal is also one constant.
+    colour: np.ndarray
 
     @property
     def n(self) -> int:

@@ -168,9 +168,9 @@ def test_criterion_5_discretization_convergence():
     # dual-route solver agreement: the dense oracle against the Lanczos solve
     dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 40)
     op = ms.assemble(dom, ms.GaugeSpec.uniform(3.0), ms.PotentialSpec.zero())
-    from magspec.eigensolve import _solve_dense, _solve_sparse
+    from magspec.eigensolve import _solve_dense, _solve_sparse, _split
     dense, _ = _solve_dense(op, 10)
-    sparse, _ = _solve_sparse(op, 10, tol=1e-12)
+    sparse, _ = _solve_sparse(op, _split(op), 10, tol=1e-12)
     ok &= bool(np.max(np.abs(dense - sparse) / dense) <= 1e-8)
     _report(5, "convergence order 2.0+/-0.2; Lanczos vs dense 1e-8", ok)
 

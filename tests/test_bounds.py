@@ -110,6 +110,52 @@ class TestLiYau:
         assert chk.rhs == pytest.approx(2 * np.pi**2, rel=1e-12)
 
 
+def assert_approaches_from_below(trend, limit, tol):
+    """Each point of the trend lies below the limit, closer than the one
+    before, and the last within tol of it."""
+    gaps = limit - np.asarray(trend)
+    assert np.all(gaps > 0), (trend, limit)
+    assert np.all(np.diff(gaps) < 0), (trend, limit)
+    assert gaps[-1] < tol, (trend, limit)
+
+
+class TestTwoTermWeyl:
+    """On exact spectra both sharp bounds are off by the boundary term of the
+    two-term Weyl law, so each margin, rescaled, tends to a constant fixed by
+    |dOmega| and |Omega|.  A constant of either bound off by a factor 1.001
+    moves the last point by k^(1/d) / 1000 or sqrt(lambda) / 1000, well past
+    each tolerance."""
+
+    @pytest.mark.parametrize("make,ks,limit,tol", [
+        (lambda: ms.box_spectrum([1.0, 1.0], 10**5), [10**2, 10**3, 10**4, 10**5],
+         (2 / 3) * 4 / math.sqrt(math.pi), 0.01),
+        (lambda: ms.disk_spectrum(1.0, 10**4), [10**2, 10**3, 10**4], 4 / 3, 0.02),
+        # d = 3: (5/6) b a^(-2/3), a = v_3 |Omega| / (8 pi^3), b = |dOmega| / (16 pi)
+        (lambda: ms.box_spectrum([1.0, 1.2, 0.9], 10**5), [10**3, 10**4, 10**5],
+         (5 / 6) * (6.36 / (16 * math.pi)) * (4 * math.pi / 3 * 1.08 / (8 * math.pi**3))
+         ** (-2 / 3), 0.04),
+    ], ids=["square", "disk", "box3"])
+    def test_li_yau_margin(self, make, ks, limit, tol):
+        # k^(1/d) times the relative margin; in d = 2 the limit is
+        # (2/3) |dOmega| / sqrt(pi |Omega|)
+        spec = make()
+        trend = [k ** (1 / spec.d) * ms.check_li_yau(spec, k).relative_margin for k in ks]
+        assert_approaches_from_below(trend, limit, tol)
+
+    @pytest.mark.parametrize("make,lams,limit", [
+        (lambda: ms.box_spectrum([1.0, 1.0], 10**5), [1.26e3, 1.26e4, 1.26e5, 1.26e6], 16 / 3),
+        (lambda: ms.disk_spectrum(1.0, 10**4), [4e1, 4e2, 4e3, 4e4], 8 / 3),
+    ], ids=["square", "disk"])
+    def test_berezin_li_yau_remainder(self, make, lams, limit):
+        # (1 - R(lambda) / rhs) sqrt(lambda) tends to (4/3) |dOmega| / |Omega|
+        spec = make()
+        trend = []
+        for lam in lams:
+            chk = ms.check_berezin_li_yau(spec, lam)
+            trend.append((1 - chk.lhs / chk.rhs) * math.sqrt(lam))
+        assert_approaches_from_below(trend, limit, 0.01)
+
+
 class TestRieszLower:
     def test_square_worked_value(self, square_spectrum):
         lam = 5 * np.pi**2

@@ -84,7 +84,7 @@ class TestLowestEigenpairs:
         op = ms.assemble(dom, ms.GaugeSpec.uniform(2.0), ms.PotentialSpec.zero())
         k = 6
         dense_vals, _ = eigensolve._solve_dense(op, k)
-        sparse_vals, _ = eigensolve._solve_sparse(op, k, tol=1e-12)
+        sparse_vals, _ = eigensolve._solve_sparse(op, eigensolve._split(op), k, tol=1e-12)
         assert np.max(np.abs(dense_vals - sparse_vals) / dense_vals) < 1e-8
 
 
@@ -108,7 +108,7 @@ class TestCompleteness:
         _, op = small_square_op
         requests = []
 
-        def drop_copy(op, m, tol):
+        def drop_copy(op, split, m, tol):
             # the first solve leaves out lambda_3 = lambda_2
             requests.append(m)
             vals, vecs = eigensolve._solve_dense(op, m + 1)
@@ -129,7 +129,7 @@ class TestCompleteness:
         _, op = small_square_op
         exact = exact_square_spectrum(1 / 16, 20)
         for j in (0, 1, 3, 10, 19):
-            below = eigensolve._count_below(op, exact[j] * (1 - 1e-6))
+            below = eigensolve._count_below(op, eigensolve._split(op), exact[j] * (1 - 1e-6))
             assert below == np.searchsorted(exact, exact[j])
 
     def test_inertia_count_on_complex_matrix(self, small_square_op):
@@ -138,7 +138,8 @@ class TestCompleteness:
         assert shifted.matrix.dtype == np.complex128
         exact = exact_square_spectrum(1 / 16, 20)
         for j in (0, 1, 3, 10, 19):
-            below = eigensolve._count_below(shifted, exact[j] * (1 - 1e-6))
+            below = eigensolve._count_below(shifted, eigensolve._split(shifted),
+                                            exact[j] * (1 - 1e-6))
             assert below == np.searchsorted(exact, exact[j])
 
 
@@ -233,7 +234,8 @@ def assert_pairs_match_dense(op, spec, pairs):
 
 class TestHalfSizeSolve:
     """A constant diagonal and two colours: the solve runs on S = alpha I - B^H B / alpha
-    over the smaller colour class and lifts back to the full grid."""
+    over the smaller colour class and lifts back to the full grid.  The inertia
+    count factors the smaller class for every diagonal."""
 
     @pytest.mark.parametrize("shape,h,gauge,pot,classes", [
         (ms.LShape(1.0, 1.0, 0.5), 1 / 16, ms.GaugeSpec.linear_gauge_shift(0.7, -0.3, 0.2, B=5.0),
@@ -245,57 +247,111 @@ class TestHalfSizeSolve:
         op = ms.assemble(ms.build_domain(shape, h), gauge, pot)
         assert sorted(np.bincount(op.colour)) == classes
         # the solve itself, then through the residual gate and the inertia count
-        assert_matches_dense(op, *eigensolve._solve_sparse(op, 12, 1e-10))
+        assert_matches_dense(op, *eigensolve._solve_sparse(op, eigensolve._split(op), 12, 1e-10))
         assert_pairs_match_dense(op, *ms.lowest_eigenpairs(op, 12))
         assert factored_sizes and set(factored_sizes) == {classes[0]}
 
     def test_pi_flux_resolve_on_half_grid(self, factored_sizes, monkeypatch):
         # lambda_1 is double: the first solve at k = 8 skips copies and the
-        # inertia count sends it round again, both times on the half grid
+        # inertia count sends it round again, both times on the half grid and
+        # both on the one colour split of the call
         n = 16
         op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / n),
                          ms.GaugeSpec.uniform(np.pi * n**2), ms.PotentialSpec.zero())
-        requests = []
-        solve = eigensolve._solve_sparse
+        splits, requests, used = [], [], []
+        split, solve, count = eigensolve._split, eigensolve._solve_sparse, eigensolve._count_below
 
-        def record(op, m, tol):
+        def record_split(op):
+            splits.append(split(op))
+            return splits[-1]
+
+        def record_solve(op, split, m, tol):
             requests.append(m)
-            return solve(op, m, tol)
+            used.append(split)
+            return solve(op, split, m, tol)
 
-        monkeypatch.setattr(eigensolve, "_solve_sparse", record)
+        def record_count(op, split, sigma):
+            used.append(split)
+            return count(op, split, sigma)
+
+        monkeypatch.setattr(eigensolve, "_split", record_split)
+        monkeypatch.setattr(eigensolve, "_solve_sparse", record_solve)
+        monkeypatch.setattr(eigensolve, "_count_below", record_count)
         spec, pairs = ms.lowest_eigenpairs(op, 8)
         assert requests == [8, 16]
+        assert len(splits) == 1 and len(used) == 4
+        assert all(s is splits[0] for s in used)
         assert_pairs_match_dense(op, spec, pairs)
         exact = pi_flux_square_spectrum(n)[:8]
         assert np.max(np.abs(spec.values - exact) / exact) < 1e-12
         assert set(factored_sizes) == {np.bincount(op.colour).min()}
 
-    @pytest.mark.parametrize("gauge", [ms.GaugeSpec.none(), ms.GaugeSpec.uniform(37.0)],
-                             ids=["real", "complex"])
-    def test_count_below_matches_dense(self, gauge, factored_sizes):
-        # a square with c = 2.5: exact doubles at B = 0, pairs 1e-4 apart at
+    @pytest.mark.parametrize("shape,h,gauge,pot", [
+        (ms.Rectangle(1.0, 1.0), 1 / 16, ms.GaugeSpec.none(), ms.PotentialSpec.constant(2.5)),
+        (ms.Rectangle(1.0, 1.0), 1 / 16, ms.GaugeSpec.uniform(37.0), ms.PotentialSpec.constant(2.5)),
+        (ms.Disk(1.0), 0.1, ms.GaugeSpec.uniform(2.0), ms.PotentialSpec.radial_quadratic(1.0)),
+        (ms.LShape(1.0, 1.0, 0.5), 1 / 16, ms.GaugeSpec.none(), ms.PotentialSpec.zero()),
+    ], ids=["real", "complex", "radial-disk", "lshape-B0"])
+    def test_count_below_matches_dense(self, shape, h, gauge, pot, factored_sizes):
+        # squares with c = 2.5: exact doubles at B = 0, pairs 1e-4 apart at
         # B = 37; sigma just below and above each cluster and halfway between
-        # neighbours, inside those close pairs too
-        op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16), gauge,
-                         ms.PotentialSpec.constant(2.5))
-        alpha = 4 * 16**2 + 2.5
+        # neighbours, inside those close pairs too, over the whole spectrum up
+        # to 2 alpha; the disk's diagonal is not constant
+        op = ms.assemble(ms.build_domain(shape, h), gauge, pot)
+        split = eigensolve._split(op)
         exact = np.linalg.eigvalsh(op.matrix.toarray())
         clusters = exact[np.r_[True, np.diff(exact) > 1e-8 * exact[1:]]]
-        low = clusters[clusters < alpha]
-        sigmas = np.concatenate([low[:30] * (1 - 1e-6), low[:30] * (1 + 1e-6),
-                                 (low[:-1] + low[1:]) / 2])
+        sigmas = np.concatenate([clusters * (1 - 1e-6), clusters * (1 + 1e-6),
+                                 (clusters[:-1] + clusters[1:]) / 2])
+        assert sigmas.max() > split.d_other.max()
         for sigma in sigmas:
-            assert eigensolve._count_below(op, sigma) == np.count_nonzero(exact < sigma)
+            assert eigensolve._count_below(op, split, sigma) == np.count_nonzero(exact < sigma)
         assert set(factored_sizes) == {np.bincount(op.colour).min()}
 
-    def test_count_at_or_above_alpha_is_full_size(self, small_square_op, factored_sizes):
+    def test_count_at_or_above_alpha_on_half_grid(self, small_square_op, factored_sizes):
         _, op = small_square_op
         alpha = 4 * 16**2
         exact = np.linalg.eigvalsh(op.matrix.toarray())
         # alpha itself is an eigenvalue (i + j = 16), so step just past it
         for sigma in (alpha * (1 + 1e-6), alpha * 1.3):
-            assert eigensolve._count_below(op, sigma) == np.count_nonzero(exact < sigma)
-        assert factored_sizes == [op.n, op.n]
+            assert (eigensolve._count_below(op, eigensolve._split(op), sigma)
+                    == np.count_nonzero(exact < sigma))
+        kept = np.bincount(op.colour).min()
+        assert factored_sizes == [kept, kept]
+
+    def test_count_at_a_diagonal_entry(self, factored_sizes):
+        # sigma equal to an entry of D_o leaves D_o - sigma I singular, so the
+        # count eliminates the kept class instead; on the disk centred at a node
+        # the two colours share no diagonal value (i + j and i^2 + j^2 have one
+        # parity), so H - sigma I itself, with its zero pivots, is never factored
+        op = ms.assemble(ms.build_domain(ms.Disk(1.0), 0.1), ms.GaugeSpec.uniform(2.0),
+                         ms.PotentialSpec.radial_quadratic(1.0))
+        split = eigensolve._split(op)
+        exact = np.linalg.eigvalsh(op.matrix.toarray())
+        sigmas = np.unique(split.d_other)
+        assert sigmas.size > 10 and not np.intersect1d(sigmas, split.d_kept).size
+        for sigma in sigmas:
+            assert eigensolve._count_below(op, split, sigma) == np.count_nonzero(exact < sigma)
+        assert factored_sizes == [split.other.size] * sigmas.size
+
+    def test_count_on_both_diagonal_blocks_is_full_size(self, factored_sizes):
+        # a constant diagonal puts alpha on both blocks, so only H - alpha I is
+        # left to factor; its diagonal is zero, and the count refuses rather than
+        # guesses.  15 x 16 nodes: equal classes, and alpha is no eigenvalue
+        op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 17 / 16), 1 / 16),
+                         ms.GaugeSpec.uniform(37.0), ms.PotentialSpec.constant(2.5))
+        assert np.bincount(op.colour).tolist() == [120, 120]
+        with pytest.raises(ms.NumericalError):
+            eigensolve._count_below(op, eigensolve._split(op), 4 * 16**2 + 2.5)
+        assert factored_sizes == [op.n]
+
+    def test_split_refuses_a_wrong_colouring(self, small_square_op):
+        # one colour for every node: the links no longer join the two classes,
+        # and the count's formula would not hold
+        _, op = small_square_op
+        wrong = ms.MagneticOperator(matrix=op.matrix, h=op.h, colour=np.zeros(op.n, np.int8))
+        with pytest.raises(ValueError):
+            ms.lowest_eigenpairs(wrong, 4)
 
     @pytest.mark.parametrize("k", [9, 22], ids=["above-half-alpha", "reaching-alpha"])
     def test_upper_values_fall_back(self, k, factored_sizes):
@@ -316,13 +372,15 @@ class TestHalfSizeSolve:
 
     @pytest.mark.parametrize("make", ["radial-disk", "gauge-shifted-disk"])
     def test_full_size_otherwise(self, make, factored_sizes):
-        # a non-constant diagonal, which a gauge shift keeps
+        # a non-constant diagonal, which a gauge shift keeps: the Lanczos solve
+        # runs at full size, and each inertia count after it on the smaller class
         op = ms.assemble(ms.build_domain(ms.Disk(1.0), 0.1), ms.GaugeSpec.uniform(2.0),
                          ms.PotentialSpec.radial_quadratic(1.0))
         if make == "gauge-shifted-disk":
             op = ms.gauge_shift(op, np.random.default_rng(7).uniform(-np.pi, np.pi, op.n))
         assert_pairs_match_dense(op, *ms.lowest_eigenpairs(op, 6))
-        assert factored_sizes and set(factored_sizes) == {op.n}
+        assert factored_sizes and set(factored_sizes[::2]) == {op.n}
+        assert set(factored_sizes[1::2]) == {np.bincount(op.colour).min()}
 
     def test_gauge_shifted_square_on_half_grid(self, factored_sizes):
         # gauge_shift keeps the constant diagonal exactly, so the conjugated

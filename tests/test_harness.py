@@ -362,6 +362,13 @@ class TestReportText:
             with pytest.raises(TypeError):
                 harness.write_report(bad, tmp_path / "bad.json")
 
+    @pytest.mark.parametrize("bad", [1j, np.complex128(2j), Path("r.json"), object()],
+                             ids=["complex", "numpy-complex", "path", "object"])
+    def test_jsonable_refuses_unknown_types(self, bad):
+        # a value JSON cannot encode is an error, not its str() in the report
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            harness._jsonable({"context": {"margin": bad}})
+
     def test_write_holds_a_small_part_of_the_report(self, tmp_path):
         report = harness.run_scenario({
             "spectrum": {"type": "box", "lengths": [1.0, 1.2, 0.9], "count": 100_000},
