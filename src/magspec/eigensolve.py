@@ -14,15 +14,17 @@ colour H = [[D_o, B], [B^H, D_k]], with D_o and D_k diagonal and k the
 smaller class.  Each solve splits H once.  The inertia count factors only
 the complement of the other class, about n/2 rows, for every potential and
 shift (Haynsworth): In(H - sigma I) = #{D_o < sigma} + In(D_k - sigma I -
-B^H (D_o - sigma I)^-1 B).  A sigma on D_o swaps the classes; only one on
-both is counted on H - sigma I.  With a constant diagonal alpha, the
-eigenvalues of H below alpha are alpha - sigma_i, sigma_i the singular
-values of B, so the solve factors and iterates on the sigma = 0 complement
-S = alpha I - B^H B / alpha, maps each eigenvalue s of S to lambda =
-alpha s / (alpha + sqrt(alpha (alpha - s))) and lifts its vector x_b by
-x_o = -B x_b / (alpha - lambda).  Residuals are still measured on H.  Any
-other operator, and any request whose values reach alpha / 2, where the lift
-would more than double the error of x_b, is solved at full size.
+B^H (D_o - sigma I)^-1 B).  A sigma on D_o swaps the classes; the count
+refuses one on both, where H - sigma I has zero pivots.  With a constant
+diagonal alpha, the eigenvalues of H below alpha are alpha - sigma_i,
+sigma_i the singular values of B, so the solve factors and iterates on the
+sigma = 0 complement S = alpha I - B^H B / alpha and maps each eigenvalue s
+of S to lambda = alpha s / (alpha + sqrt(alpha (alpha - s))).  The count
+needs only the values, so the vectors x_b stay on the kept class until it
+agrees; then the k accepted ones are lifted once, by x_o = -B x_b /
+(alpha - lambda), and their residuals are measured on H.  Any other
+operator, and any request whose values reach alpha / 2, where the lift would
+more than double the error of x_b, is solved at full size.
 """
 
 from __future__ import annotations
@@ -152,16 +154,16 @@ def _split(op: MagneticOperator) -> _Split:
                   d_other=diag[other], alpha=alpha)
 
 
-def _count_below(op: MagneticOperator, split: _Split, sigma: float) -> int:
+def _count_below(split: _Split, sigma: float) -> int:
     """Number of eigenvalues below sigma, by Sylvester's law and Haynsworth's additivity."""
     if np.any(split.d_other == sigma):  # D_o - sigma I is singular: eliminate the kept class
         split = split.swapped()
-    # the shifted matrix is freed before U is exported; reading lu.U builds L and U
-    if np.any(split.d_other == sigma):  # sigma lies on both diagonal blocks
-        below, lu = 0, _factor(op.matrix - sigma * sp.identity(op.n, format="csr"))
-    else:
-        below, lu = int(np.count_nonzero(split.d_other < sigma)), _factor(split.complement(sigma))
-    return below + int(np.count_nonzero(lu.U.diagonal().real < 0))
+        if np.any(split.d_other == sigma):
+            raise NumericalError(f"inertia count at sigma = {sigma:.12g}: sigma lies on both "
+                                 "diagonal blocks, so no colour class can be eliminated")
+    # the complement is freed before U is exported; reading lu.U builds L and U
+    lu = _factor(split.complement(sigma))
+    return int(np.count_nonzero(split.d_other < sigma) + np.count_nonzero(lu.U.diagonal().real < 0))
 
 
 def _shift_invert(a: sp.spmatrix, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -190,14 +192,15 @@ def _shift_invert(a: sp.spmatrix, k: int, tol: float) -> tuple[np.ndarray, np.nd
 
 def _solve_sparse(op: MagneticOperator, split: _Split, k: int, tol: float
                   ) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenvalues of H and Ritz vectors on the rows solved for: the kept
+    class when the half-size solve runs (see _Split.lift), else all n rows."""
     alpha = split.alpha
     # ARPACK needs k < n - 1 on the kept class too
     if alpha is not None and k < split.kept.size - 1:
         s, xb = _shift_invert(split.complement(0.0), k, tol)
         # lambda < alpha / 2, i.e. s < 3 alpha / 4: then ||B|| / (alpha - lambda) < 2
         if s[-1] < 0.75 * alpha:
-            vals = alpha * s / (alpha + np.sqrt(alpha * (alpha - s)))
-            return vals, split.lift(xb, vals)
+            return alpha * s / (alpha + np.sqrt(alpha * (alpha - s))), xb
     return _shift_invert(op.matrix, k, tol)
 
 
@@ -216,7 +219,7 @@ def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10
         vals, vecs = _solve_sparse(op, split, m, tol)
         sigma = vals[k - 1] * (1 - DEGENERACY_RTOL)
         found = int(np.count_nonzero(vals < sigma))
-        inertia = _count_below(op, split, sigma)
+        inertia = _count_below(split, sigma)
         if inertia == found:
             break
         if inertia < found:
@@ -226,6 +229,8 @@ def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10
     else:
         vals, vecs = _solve_dense(op, k)
     vals, vecs = vals[:k], vecs[:, :k]
+    if vecs.shape[0] < op.n:  # the half-size solve: lift only what the count accepted
+        vecs = split.lift(vecs, vals)
 
     pairs = []
     for j in range(k):

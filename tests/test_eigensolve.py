@@ -129,7 +129,7 @@ class TestCompleteness:
         _, op = small_square_op
         exact = exact_square_spectrum(1 / 16, 20)
         for j in (0, 1, 3, 10, 19):
-            below = eigensolve._count_below(op, eigensolve._split(op), exact[j] * (1 - 1e-6))
+            below = eigensolve._count_below(eigensolve._split(op), exact[j] * (1 - 1e-6))
             assert below == np.searchsorted(exact, exact[j])
 
     def test_inertia_count_on_complex_matrix(self, small_square_op):
@@ -138,8 +138,7 @@ class TestCompleteness:
         assert shifted.matrix.dtype == np.complex128
         exact = exact_square_spectrum(1 / 16, 20)
         for j in (0, 1, 3, 10, 19):
-            below = eigensolve._count_below(shifted, eigensolve._split(shifted),
-                                            exact[j] * (1 - 1e-6))
+            below = eigensolve._count_below(eigensolve._split(shifted), exact[j] * (1 - 1e-6))
             assert below == np.searchsorted(exact, exact[j])
 
 
@@ -246,8 +245,12 @@ class TestHalfSizeSolve:
     def test_matches_dense(self, shape, h, gauge, pot, classes, factored_sizes):
         op = ms.assemble(ms.build_domain(shape, h), gauge, pot)
         assert sorted(np.bincount(op.colour)) == classes
-        # the solve itself, then through the residual gate and the inertia count
-        assert_matches_dense(op, *eigensolve._solve_sparse(op, eigensolve._split(op), 12, 1e-10))
+        # the solve itself on the kept class, lifted here, then through the
+        # inertia count and the residual gate
+        split = eigensolve._split(op)
+        vals, xb = eigensolve._solve_sparse(op, split, 12, 1e-10)
+        assert xb.shape == (classes[0], 12)
+        assert_matches_dense(op, vals, split.lift(xb, vals))
         assert_pairs_match_dense(op, *ms.lowest_eigenpairs(op, 12))
         assert factored_sizes and set(factored_sizes) == {classes[0]}
 
@@ -270,9 +273,9 @@ class TestHalfSizeSolve:
             used.append(split)
             return solve(op, split, m, tol)
 
-        def record_count(op, split, sigma):
+        def record_count(split, sigma):
             used.append(split)
-            return count(op, split, sigma)
+            return count(split, sigma)
 
         monkeypatch.setattr(eigensolve, "_split", record_split)
         monkeypatch.setattr(eigensolve, "_solve_sparse", record_solve)
@@ -285,6 +288,30 @@ class TestHalfSizeSolve:
         exact = pi_flux_square_spectrum(n)[:8]
         assert np.max(np.abs(spec.values - exact) / exact) < 1e-12
         assert set(factored_sizes) == {np.bincount(op.colour).min()}
+
+    def test_certify_before_lifting(self, monkeypatch):
+        # the count rejects the request at k = 8, whose vectors are never lifted;
+        # once it accepts the request at 16, only the 8 wanted vectors are
+        # lifted to the full grid, once
+        n = 16
+        op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / n),
+                         ms.GaugeSpec.uniform(np.pi * n**2), ms.PotentialSpec.zero())
+        events = []
+        count, lift = eigensolve._count_below, eigensolve._Split.lift
+
+        def record_count(*args):
+            events.append("count")
+            return count(*args)
+
+        def record_lift(split, xb, vals):
+            events.append(("lift", xb.shape[1]))
+            return lift(split, xb, vals)
+
+        monkeypatch.setattr(eigensolve, "_count_below", record_count)
+        monkeypatch.setattr(eigensolve._Split, "lift", record_lift)
+        spec, pairs = ms.lowest_eigenpairs(op, 8)
+        assert events == ["count", "count", ("lift", 8)]
+        assert_pairs_match_dense(op, spec, pairs)
 
     @pytest.mark.parametrize("shape,h,gauge,pot", [
         (ms.Rectangle(1.0, 1.0), 1 / 16, ms.GaugeSpec.none(), ms.PotentialSpec.constant(2.5)),
@@ -305,7 +332,7 @@ class TestHalfSizeSolve:
                                  (clusters[:-1] + clusters[1:]) / 2])
         assert sigmas.max() > split.d_other.max()
         for sigma in sigmas:
-            assert eigensolve._count_below(op, split, sigma) == np.count_nonzero(exact < sigma)
+            assert eigensolve._count_below(split, sigma) == np.count_nonzero(exact < sigma)
         assert set(factored_sizes) == {np.bincount(op.colour).min()}
 
     def test_count_at_or_above_alpha_on_half_grid(self, small_square_op, factored_sizes):
@@ -314,7 +341,7 @@ class TestHalfSizeSolve:
         exact = np.linalg.eigvalsh(op.matrix.toarray())
         # alpha itself is an eigenvalue (i + j = 16), so step just past it
         for sigma in (alpha * (1 + 1e-6), alpha * 1.3):
-            assert (eigensolve._count_below(op, eigensolve._split(op), sigma)
+            assert (eigensolve._count_below(eigensolve._split(op), sigma)
                     == np.count_nonzero(exact < sigma))
         kept = np.bincount(op.colour).min()
         assert factored_sizes == [kept, kept]
@@ -331,19 +358,20 @@ class TestHalfSizeSolve:
         sigmas = np.unique(split.d_other)
         assert sigmas.size > 10 and not np.intersect1d(sigmas, split.d_kept).size
         for sigma in sigmas:
-            assert eigensolve._count_below(op, split, sigma) == np.count_nonzero(exact < sigma)
+            assert eigensolve._count_below(split, sigma) == np.count_nonzero(exact < sigma)
         assert factored_sizes == [split.other.size] * sigmas.size
 
-    def test_count_on_both_diagonal_blocks_is_full_size(self, factored_sizes):
-        # a constant diagonal puts alpha on both blocks, so only H - alpha I is
-        # left to factor; its diagonal is zero, and the count refuses rather than
-        # guesses.  15 x 16 nodes: equal classes, and alpha is no eigenvalue
+    def test_count_on_both_diagonal_blocks_refuses(self, factored_sizes):
+        # a constant diagonal puts alpha on both blocks, so neither class can be
+        # eliminated and H - alpha I has a zero diagonal: the count refuses, naming
+        # sigma, before it factors anything.  15 x 16 nodes: equal classes, and
+        # alpha is no eigenvalue
         op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 17 / 16), 1 / 16),
                          ms.GaugeSpec.uniform(37.0), ms.PotentialSpec.constant(2.5))
         assert np.bincount(op.colour).tolist() == [120, 120]
-        with pytest.raises(ms.NumericalError):
-            eigensolve._count_below(op, eigensolve._split(op), 4 * 16**2 + 2.5)
-        assert factored_sizes == [op.n]
+        with pytest.raises(ms.NumericalError, match="sigma = 1026.5"):
+            eigensolve._count_below(eigensolve._split(op), 4 * 16**2 + 2.5)
+        assert factored_sizes == []
 
     def test_split_refuses_a_wrong_colouring(self, small_square_op):
         # one colour for every node: the links no longer join the two classes,
