@@ -6,7 +6,8 @@ lowest eigenvalue (after matching sup norms), and its sup norm obeys the
 sharp bound ||omega||_inf <= C_d(p) lambda^{d/2p} ||omega||_p with equality
 exactly on the ball.  This prints both profiles side by side for the unit
 square and reports the sup-norm ratios for the square (strict) and the disk
-(near equality).
+(near equality).  Each check reads lambda_1 and the ground state from the
+grid spectrum that carries them.
 """
 
 import numpy as np
@@ -14,17 +15,18 @@ import numpy as np
 import magspec as ms
 
 
-def ground_state(shape, h):
+def grid_spectrum(shape, h):
+    """lambda_1 of the shape's grid operator, with the ground state it carries."""
     dom = ms.build_domain(shape, h)
     op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
-    spec, pairs = ms.lowest_eigenpairs(op, 1)
-    return dom, float(spec.values[0]), pairs[0].vector
+    return ms.lowest_eigenpairs(op, 1)[0]
 
 
 def main():
     h = 1 / 64
-    dom, lam, omega = ground_state(ms.Rectangle(1.0, 1.0), h)
-    profile = ms.decreasing_rearrangement(omega, h)
+    spec = grid_spectrum(ms.Rectangle(1.0, 1.0), h)
+    lam = float(spec.values[0])
+    profile = ms.decreasing_rearrangement(spec.ground_state, h)
     z0 = ms.z_profile(lam, 2, 0.0)
     scale = z0 / profile.u_values[0]
 
@@ -38,19 +40,18 @@ def main():
         print(f"{s:>8.3f} {u:>14.5f} {z:>10.5f} {u - z:>+10.5f}")
     print("(non-negative gap = the rearranged state dominates the ball profile)")
 
-    inclusion, domination = ms.comparison_check(omega, h, lam, d=2, measure=dom.measure)
+    inclusion, domination = ms.comparison_check(spec)
     print(f"\ncomparison check: inclusion {inclusion.passed}, "
           f"domination {domination.passed}")
 
-    ode = ms.rearrangement_ode_check(profile, lam, 2)
+    ode = ms.rearrangement_ode_check(spec)
     print(f"slope inequality (diagnostic): violating fraction "
           f"{ode.context['violating_fraction']:.4f} of nodes")
 
     print("\nsharp sup-norm bound, ratio ||omega||_inf / (C_2(2) lambda^{1/2} ||omega||_2):")
-    chk = ms.chiti_check(omega, h, lam, d=2, p=2.0)[0]
+    chk = ms.chiti_check(spec, p=2.0)[0]
     print(f"  square, h = 1/64: {chk.lhs / chk.rhs:.6f}  (strictly below 1)")
-    dom_d, lam_d, omega_d = ground_state(ms.Disk(1.0), h)
-    chk_d = ms.chiti_check(omega_d, h, lam_d, d=2, p=2.0)[0]
+    chk_d = ms.chiti_check(grid_spectrum(ms.Disk(1.0), h), p=2.0)[0]
     print(f"  disk,   h = 1/64: {chk_d.lhs / chk_d.rhs:.6f}  (equality case, -> 1 as h -> 0)")
 
 

@@ -1,12 +1,14 @@
 """Eigenvalue inequality checks with signed margins.
 
-Every check returns a :class:`BoundCheck` whose margin is oriented so that
-a non-negative margin means the inequality holds.  A margin in (-slack, 0)
-still passes, flagged as a tolerance pass.  A check reads d, |Omega| and the
-grid spacing h from its spectrum and computes its own slack from the size of
-its inequality: ``discrete_slack(spec.h, scale)`` on a grid spectrum, which
-absorbs the discretization error, and ``ANALYTIC_SLACK_RTOL * |scale|`` on an
-exact one (``spec.h`` None).
+Every check states its inequality as lhs <= rhs and returns a
+:class:`BoundCheck` whose margin is rhs - lhs, so a non-negative margin means
+the inequality holds.  A margin in (-slack, 0) still passes, flagged as a
+tolerance pass.  A check takes a spectrum and its parameter k or lambda, and
+reads everything else from the spectrum: d, |Omega|, the grid spacing h and,
+for the sup-norm bound, the ground state.  It computes its own slack from the
+size of its inequality: ``discrete_slack(spec.h, scale)`` on a grid spectrum,
+which absorbs the discretization error, and ``ANALYTIC_SLACK_RTOL * |scale|``
+on an exact one (``spec.h`` None).
 
 Berezin--Li--Yau bounds the Riesz mean by the Weyl term,
 sum_j (lambda - lambda_j)_+ <= (2/(d+2)) v_d (2 pi)^{-d} |Omega| lambda^{1+d/2},
@@ -58,6 +60,13 @@ def _slack(spec: Spectrum, scale: float) -> float:
     return ANALYTIC_SLACK_RTOL * abs(scale) if spec.h is None else discrete_slack(spec.h, scale)
 
 
+def _ground_state(spec: Spectrum) -> np.ndarray:
+    """The unit-L2 ground state of a grid spectrum; a ValueError on one without it."""
+    if spec.ground_state is None:
+        raise ValueError("this check needs a grid spectrum with its ground state")
+    return spec.ground_state
+
+
 def _checked_k(spec: Spectrum, k, plus_one: bool = False) -> int:
     """k as an int, checked to index lambda_k of spec or, with ``plus_one``, lambda_(k+1)."""
     k, top = int(k), len(spec) - plus_one
@@ -84,23 +93,16 @@ class BoundCheck:
     context: dict = field(default_factory=dict)
 
 
-def _make_check(name: str, lhs: float, rhs: float, margin: float, slack: float,
-                context: dict, applicable: bool = True, diagnostic: bool = False) -> BoundCheck:
+def _make_check(name: str, lhs: float, rhs: float, slack: float, context: dict,
+                applicable: bool = True, diagnostic: bool = False) -> BoundCheck:
+    """The verdict on lhs <= rhs, whose margin is rhs - lhs."""
+    margin = rhs - lhs
     scale = max(abs(lhs), abs(rhs), _TINY)
-    passed = bool(applicable is False or margin >= -slack)
-    return BoundCheck(
-        name=name,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        relative_margin=float(margin / scale),
-        slack=float(slack),
-        passed=passed,
-        tolerance_pass=bool(applicable and -slack <= margin < 0),
-        applicable=applicable,
-        diagnostic=diagnostic,
-        context=context,
-    )
+    return BoundCheck(name=name, lhs=float(lhs), rhs=float(rhs), margin=float(margin),
+                      relative_margin=float(margin / scale), slack=float(slack),
+                      passed=bool(applicable is False or margin >= -slack),
+                      tolerance_pass=bool(applicable and -slack <= margin < 0),
+                      applicable=applicable, diagnostic=diagnostic, context=context)
 
 
 def riesz_mean(spec: Spectrum, lam: float) -> float:
@@ -137,10 +139,8 @@ def check_berezin_li_yau(spec: Spectrum, lam: float) -> BoundCheck:
     lhs = riesz_mean(spec, lam)
     rhs = 2.0 / (d + 2) * unit_ball_volume(d) / (2 * math.pi) ** d * measure \
         * lam ** (1 + d / 2)
-    return _make_check(
-        "berezin-li-yau", lhs, rhs, rhs - lhs, _slack(spec, rhs),
-        {"lambda": lam, "d": d, "measure": measure},
-    )
+    return _make_check("berezin-li-yau", lhs, rhs, _slack(spec, rhs),
+                       {"lambda": lam, "d": d, "measure": measure})
 
 
 def check_li_yau(spec: Spectrum, k: int) -> BoundCheck:
@@ -150,10 +150,7 @@ def check_li_yau(spec: Spectrum, k: int) -> BoundCheck:
     lhs = (4 * math.pi**2 * d / (d + 2)) * unit_ball_volume(d) ** (-2 / d) \
         * measure ** (-2 / d) * k ** (1 + 2 / d)
     rhs = float(spec.values[:k].sum())
-    return _make_check(
-        "li-yau", lhs, rhs, rhs - lhs, _slack(spec, rhs),
-        {"k": k, "d": d, "measure": measure},
-    )
+    return _make_check("li-yau", lhs, rhs, _slack(spec, rhs), {"k": k, "d": d, "measure": measure})
 
 
 def check_riesz_lower(spec: Spectrum, lam: float) -> BoundCheck:
@@ -164,11 +161,9 @@ def check_riesz_lower(spec: Spectrum, lam: float) -> BoundCheck:
     rhs = riesz_mean(spec, lam)
     lhs = (2.0 / (d + 2)) / hd * lam1 ** (-d / 2) \
         * max(lam - lam1, 0.0) ** (1 + d / 2)
-    return _make_check(
-        "riesz-mean-lower", lhs, rhs, rhs - lhs,
-        _slack(spec, lam ** (1 + d / 2) / lam1 ** (d / 2)),
-        {"lambda": lam, "d": d, "lambda_1": lam1, "H_d": hd},
-    )
+    return _make_check("riesz-mean-lower", lhs, rhs,
+                       _slack(spec, lam ** (1 + d / 2) / lam1 ** (d / 2)),
+                       {"lambda": lam, "d": d, "lambda_1": lam1, "H_d": hd})
 
 
 def check_shifted_sum_upper(spec: Spectrum, k: int) -> BoundCheck:
@@ -179,10 +174,8 @@ def check_shifted_sum_upper(spec: Spectrum, k: int) -> BoundCheck:
     lam1 = float(spec.values[0])
     lhs = float((spec.values[:k] - lam1).sum())
     rhs = (d / (d + 2)) * hd ** (2 / d) * lam1 * k ** (1 + 2 / d)
-    return _make_check(
-        "shifted-sum-upper", lhs, rhs, rhs - lhs, _slack(spec, lam1 * k ** (1 + 2 / d)),
-        {"k": k, "d": d, "lambda_1": lam1, "H_d": hd},
-    )
+    return _make_check("shifted-sum-upper", lhs, rhs, _slack(spec, lam1 * k ** (1 + 2 / d)),
+                       {"k": k, "d": d, "lambda_1": lam1, "H_d": hd})
 
 
 def check_ratio_bounds(spec: Spectrum, k: int) -> list[BoundCheck]:
@@ -201,16 +194,13 @@ def check_ratio_bounds(spec: Spectrum, k: int) -> list[BoundCheck]:
     except OverflowError:
         rhs_ppw = math.inf
     if math.isfinite(rhs_ppw):
-        ppw = _make_check("ratio-ppw", lhs, rhs_ppw, rhs_ppw - lhs, slack, ctx)
+        ppw = _make_check("ratio-ppw", lhs, rhs_ppw, slack, ctx)
     else:
-        ppw = _make_check("ratio-ppw", math.nan, math.nan, math.nan, slack,
+        ppw = _make_check("ratio-ppw", math.nan, math.nan, slack,
                           {**ctx, "note": "(1+4/d)^k lambda_1 exceeds the float range"},
                           applicable=False)
-    return [
-        _make_check("ratio-direct", lhs, rhs_direct, rhs_direct - lhs, slack, ctx),
-        _make_check("ratio-via-sum", lhs, rhs_sum, rhs_sum - lhs, slack, ctx),
-        ppw,
-    ]
+    return [_make_check("ratio-direct", lhs, rhs_direct, slack, ctx),
+            _make_check("ratio-via-sum", lhs, rhs_sum, slack, ctx), ppw]
 
 
 def check_yang(spec: Spectrum, k: int) -> BoundCheck:
@@ -219,10 +209,8 @@ def check_yang(spec: Spectrum, k: int) -> BoundCheck:
     k = _checked_k(spec, k, plus_one=True)
     lam = spec.values[: k + 1]
     lhs = float(((lam[k] - lam[:k]) * (lam[k] - (1 + 4 / d) * lam[:k])).sum())
-    return _make_check(
-        "yang", lhs, 0.0, -lhs, _slack(spec, float(lam[k]) ** 2 * k),
-        {"k": k, "d": d, "lambda_1": float(lam[0])},
-    )
+    return _make_check("yang", lhs, 0.0, _slack(spec, float(lam[k]) ** 2 * k),
+                       {"k": k, "d": d, "lambda_1": float(lam[0])})
 
 
 def check_yang_corollaries(spec: Spectrum, k: int) -> list[BoundCheck]:
@@ -239,57 +227,51 @@ def check_yang_corollaries(spec: Spectrum, k: int) -> list[BoundCheck]:
     slack = _slack(spec, lam[k])
     ctx = {"k": k, "d": d, "lambda_1": float(lam[0])}
 
-    y = _make_check("yang-second", float(lam[k]), (1 + 4 / d) * mean,
-                    (1 + 4 / d) * mean - lam[k], slack, ctx)
+    y = _make_check("yang-second", float(lam[k]), (1 + 4 / d) * mean, slack, ctx)
 
     gaps = lam[k] - lam[:k]
     degenerate = gaps[-1] <= 1e-8 * lam[k]
     if degenerate:
-        hp = _make_check("hile-protter", math.nan, math.nan, math.nan, slack,
+        hp = _make_check("hile-protter", math.nan, math.nan, slack,
                          {**ctx, "note": "top gap degenerate"}, applicable=False)
     else:
         hp_lhs = d / 4.0
         hp_rhs = float((lam[:k] / gaps).mean())
-        hp = _make_check("hile-protter", hp_lhs, hp_rhs, hp_rhs - hp_lhs, slack, ctx)
+        hp = _make_check("hile-protter", hp_lhs, hp_rhs, slack, ctx)
 
-    ppw = _make_check("ppw-gap", float(lam[k] - lam[k - 1]), (4 / d) * mean,
-                      (4 / d) * mean - (lam[k] - lam[k - 1]), slack, ctx)
+    ppw = _make_check("ppw-gap", float(lam[k] - lam[k - 1]), (4 / d) * mean, slack, ctx)
     return [y, hp, ppw]
 
 
-def check_sup_norm_riesz_lower(spec: Spectrum, sup_norm_omega: float, lam: float) -> BoundCheck:
+def check_sup_norm_riesz_lower(spec: Spectrum, lam: float) -> BoundCheck:
     """Riesz mean >= (2 v_d/((d+2)(2 pi)^d)) ||omega||_inf^{-2} (lambda-lambda_1)_+^{1+d/2},
-    with omega a unit-L2 ground state."""
+    with omega the unit-L2 ground state of spec."""
     d = spec.d
-    if sup_norm_omega <= 0:
-        raise ValueError(f"sup norm must be positive, got {sup_norm_omega}")
+    sup_norm_omega = float(np.abs(_ground_state(spec)).max())
     lam1 = float(spec.values[0])
     rhs = riesz_mean(spec, lam)
     lhs = (2 * unit_ball_volume(d) / ((d + 2) * (2 * math.pi) ** d)) \
         * sup_norm_omega**-2 * max(lam - lam1, 0.0) ** (1 + d / 2)
-    return _make_check(
-        "ground-state-riesz-lower", lhs, rhs, rhs - lhs,
-        _slack(spec, lam ** (1 + d / 2) / sup_norm_omega**2),
-        {"lambda": lam, "d": d, "lambda_1": lam1, "sup_norm": sup_norm_omega},
-    )
+    return _make_check("ground-state-riesz-lower", lhs, rhs,
+                       _slack(spec, lam ** (1 + d / 2) / sup_norm_omega**2),
+                       {"lambda": lam, "d": d, "lambda_1": lam1, "sup_norm": sup_norm_omega})
 
 
 # ---------------------------------------------------------------------------
 # check registry
 
 #: Config check name -> (parameter key, check call).  The parameter key is
-#: ``ks`` or ``lambdas``, and ``run(spec, x, sup)`` evaluates the check at
-#: parameter x; ``sup`` is the sup norm of the unit-L2 ground state (None when
-#: analytic).  The calls look each check function up by its module-level name
-#: when they run, so a wrapper installed on this module sees every call.
+#: ``ks`` or ``lambdas``, and ``run(spec, x)`` evaluates the check at
+#: parameter x.  The calls look each check function up by its module-level
+#: name when they run, so a wrapper installed on this module sees every call.
 CHECKS: dict[str, tuple] = {
-    "berezin-li-yau": ("lambdas", lambda spec, lam, sup: check_berezin_li_yau(spec, lam)),
-    "li-yau": ("ks", lambda spec, k, sup: check_li_yau(spec, k)),
-    "riesz-mean-lower": ("lambdas", lambda spec, lam, sup: check_riesz_lower(spec, lam)),
-    "shifted-sum-upper": ("ks", lambda spec, k, sup: check_shifted_sum_upper(spec, k)),
-    "ratio-bounds": ("ks", lambda spec, k, sup: check_ratio_bounds(spec, k)),
-    "yang": ("ks", lambda spec, k, sup: check_yang(spec, k)),
-    "yang-corollaries": ("ks", lambda spec, k, sup: check_yang_corollaries(spec, k)),
-    "ground-state-riesz-lower": ("lambdas", lambda spec, lam, sup:
-                                 check_sup_norm_riesz_lower(spec, sup, lam)),
+    "berezin-li-yau": ("lambdas", lambda spec, lam: check_berezin_li_yau(spec, lam)),
+    "li-yau": ("ks", lambda spec, k: check_li_yau(spec, k)),
+    "riesz-mean-lower": ("lambdas", lambda spec, lam: check_riesz_lower(spec, lam)),
+    "shifted-sum-upper": ("ks", lambda spec, k: check_shifted_sum_upper(spec, k)),
+    "ratio-bounds": ("ks", lambda spec, k: check_ratio_bounds(spec, k)),
+    "yang": ("ks", lambda spec, k: check_yang(spec, k)),
+    "yang-corollaries": ("ks", lambda spec, k: check_yang_corollaries(spec, k)),
+    "ground-state-riesz-lower": ("lambdas",
+                                 lambda spec, lam: check_sup_norm_riesz_lower(spec, lam)),
 }

@@ -29,7 +29,7 @@ more than double the error of x_b, is solved at full size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -54,12 +54,14 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted positive eigenvalues, their domain's measure and grid spacing h (None if exact)."""
+    """Sorted positive eigenvalues, their domain's measure, and the grid spacing h and
+    unit-L2 (h^2-weighted) ground state of a grid solve (both None if exact)."""
 
     d: int
     values: np.ndarray
     measure: float
     h: float | None = None
+    ground_state: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -243,4 +245,5 @@ def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10
             raise NumericalError(f"eigenpair {j} residual {res:.2e} exceeds tolerance")
         pairs.append(EigenPair(value=float(vals[j]), vector=v, residual=float(res)))
 
-    return Spectrum(d=2, values=vals.copy(), h=op.h, measure=op.measure), pairs
+    return Spectrum(d=2, values=vals.copy(), h=op.h, measure=op.measure,
+                    ground_state=pairs[0].vector), pairs

@@ -115,6 +115,9 @@ _NUMBERS = {
     "positive": (lambda x: x > 0, "a finite positive number"),
     "nonnegative": (lambda x: x >= 0, "a finite number >= 0"),
     "count": (lambda x: isinstance(x, int) and x >= 1, "an integer >= 1"),
+    # a box length or disk radius: (pi / L)^2, L^2 and the product of up to
+    # five lengths then stay normal floats
+    "length": (lambda x: 1e-50 <= x <= 1e50, "a number in [1e-50, 1e50]"),
 }
 _ANY_LENGTH = range(sys.maxsize)
 
@@ -141,11 +144,18 @@ _SHAPES = {"rectangle": (Rectangle, "a", "b"), "disk": (Disk, "radius"),
            "mask_file": (MaskFile, "path")}
 
 
+#: Most nodes the bounding box of a grid may have.  A magnetic-grid pass peaks
+#: at 207 MB with 65025 nodes, about 3.2 kB a node, so a grid at the limit
+#: needs about 3.2 GB.
+MAX_GRID_NODES = 10**6
+
+
 def parse_shape(d: dict) -> Shape:
     """The shape of a grid ``domain`` block, whose other key is ``h``."""
     kind = d.get("shape")
-    if kind not in _SHAPES:
-        raise InputDataError(f"unknown shape kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _SHAPES:
+        raise InputDataError(f"'domain.shape' must be one of {', '.join(_SHAPES)}, "
+                             f"got {kind!r}")
     cls, *keys = _SHAPES[kind]
     values = _required(d, f"a {kind} domain", *keys, others=("shape", "h"))
     if cls is MaskFile:
@@ -188,13 +198,22 @@ def parse_potential(d: dict | None) -> PotentialSpec:
     raise InputDataError(f"unknown potential kind {kind!r}")
 
 
-def _grid(src: dict) -> Grid:
+def _grid(src: dict, levels: int) -> Grid:
+    """A grid block, refused when its finest level h / 2^(levels - 1) has more than
+    MAX_GRID_NODES bounding-box nodes (a mask file's grid is its file's)."""
     _required(src, "grid spectrum", "domain")
     domain, solver = _object(src, "domain"), _object(src, "solver")
     (h,) = _required(domain, "grid domain", "h")
     _required(solver, "the solver", others=("k", "tol"))
-    return Grid(parse_shape(domain), _number(h, "domain.h", "positive"),
-                parse_gauge(_object(src, "gauge")), parse_potential(_object(src, "potential")),
+    shape, h = parse_shape(domain), _number(h, "domain.h", "positive")
+    if not isinstance(shape, MaskFile):
+        x0, y0, x1, y1 = shape.bounding_box()
+        finest = h * 0.5 ** (levels - 1)  # 0.0 for very many levels
+        if not finest or ((x1 - x0) / finest + 1) * ((y1 - y0) / finest + 1) > MAX_GRID_NODES:
+            raise InputDataError(f"'domain.h' gives more than {MAX_GRID_NODES} grid nodes "
+                                 f"at h = {finest:.6g}")
+    return Grid(shape, h, parse_gauge(_object(src, "gauge")),
+                parse_potential(_object(src, "potential")),
                 _number(solver.get("k", 10), "solver.k", "count"),
                 _number(solver.get("tol", 1e-10), "solver.tol", "positive"))
 
@@ -208,7 +227,7 @@ def _exact(block: dict, where: str) -> Exact:
     count = _number(*_required(block, f"{kind} {where}", "count"), "count", "count") \
         if where == "spectrum" else None
     key = "lengths" if kind == "box" else "radius"
-    size = _number(*_required(block, f"{kind} {where}", key), prefix + key, "positive",
+    size = _number(*_required(block, f"{kind} {where}", key), prefix + key, "length",
                    range(2, 6) if kind == "box" else None)
     return Exact(kind, size, count)
 
@@ -255,14 +274,15 @@ def _eigenfunction(eig: dict) -> dict | None:
     return {**flags, "p": p} if eig else None
 
 
-def parse_config(config: dict) -> Scenario:
-    """Read, check and convert every key of a config once, or name a malformed one."""
+def parse_config(config: dict, levels: int = 1) -> Scenario:
+    """Read, check and convert every key of a config once, or name a malformed one.
+    A grid is checked at the finest of ``levels`` convergence levels."""
     if "slack" in config:
         raise InputDataError("config key 'slack' is not supported: slacks are fixed")
     src = config.get("spectrum")
     if not isinstance(src, dict) or src.get("type") not in ("box", "disk", "grid"):
         raise InputDataError("config needs a 'spectrum' block of type box, disk or grid")
-    spectrum = _grid(src) if src["type"] == "grid" else _exact(src, "spectrum")
+    spectrum = _grid(src, levels) if src["type"] == "grid" else _exact(src, "spectrum")
     checks = config.get("checks", [])
     if not isinstance(checks, list):
         raise InputDataError(f"'checks' must be a list, got {checks!r}")
@@ -283,16 +303,15 @@ def build_spectrum(source: Exact | Grid) -> tuple[Spectrum, list[EigenPair]]:
     return lowest_eigenpairs(op, source.k, source.tol)
 
 
-def _run_checks(checks: list, spec: Spectrum, pairs: list[EigenPair]) -> tuple[list, list]:
+def _run_checks(checks: list, spec: Spectrum) -> tuple[list, list]:
     results, errors = [], []
-    sup = float(np.abs(pairs[0].vector).max()) if pairs else None
     for name, values, indices in checks:
         param, run = bounds.CHECKS[name]
         key = "k" if param == "ks" else "lambda"
         for x in values + tuple(float(spec.values[j - 1]) for j in indices):
             try:
-                out = run(spec, x, sup)
-            except (TruncationError, ValueError, NumericalError) as exc:
+                out = run(spec, x)
+            except (TruncationError, ValueError, NumericalError, OverflowError) as exc:
                 errors.append({"check": name, "error": type(exc).__name__, "message": str(exc),
                                key: x})
                 continue
@@ -300,25 +319,22 @@ def _run_checks(checks: list, spec: Spectrum, pairs: list[EigenPair]) -> tuple[l
     return results, errors
 
 
-def _run_eigenfunction(eig: dict | None, spec: Spectrum,
-                       pairs: list[EigenPair]) -> tuple[dict, list]:
-    if eig is None or not pairs:
+def _run_eigenfunction(eig: dict | None, spec: Spectrum) -> tuple[dict, list]:
+    if eig is None or spec.ground_state is None:
         return {}, []
-    omega, lam, h = pairs[0].vector, pairs[0].value, spec.h
-    rep = eigfn.norms(omega, h, p_list=(1.0, 2.0))
+    rep = eigfn.norms(spec.ground_state, spec.h, p_list=(1.0, 2.0))
     out = {"norms": {"sup_norm": rep.sup_norm, "lp": {str(p): v for p, v in rep.lp.items()},
                      "l2_normalized": rep.l2_normalized},
            "ground_state_degenerate": bool(_degeneracy_flags(spec.values[:2])[0])}
     checks = []
     if eig["chiti"]:
-        checks.extend(eigfn.chiti_check(omega, h, lam, spec.d, p=eig["p"]))
+        checks.extend(eigfn.chiti_check(spec, p=eig["p"]))
     if eig["comparison"]:
-        inclusion, domination = eigfn.comparison_check(omega, h, lam, spec.d, spec.measure)
+        inclusion, domination = eigfn.comparison_check(spec)
         checks.extend([inclusion, domination])
         out["ball_measure"] = inclusion.lhs
     if eig["ode"]:
-        profile = eigfn.decreasing_rearrangement(omega, h)
-        checks.append(eigfn.rearrangement_ode_check(profile, lam, spec.d))
+        checks.append(eigfn.rearrangement_ode_check(spec))
     return out, checks
 
 
@@ -352,8 +368,8 @@ def run_scenario(config: dict) -> dict:
     t_start = time.perf_counter()
     spec, pairs = build_spectrum(scenario.spectrum)
     t_solve = time.perf_counter() - t_start
-    check_results, errors = _run_checks(scenario.checks, spec, pairs)
-    eig_out, eig_checks = _run_eigenfunction(scenario.eigenfunction, spec, pairs)
+    check_results, errors = _run_checks(scenario.checks, spec)
+    eig_out, eig_checks = _run_eigenfunction(scenario.eigenfunction, spec)
     check_results = check_results + eig_checks
 
     hard = [c for c in check_results if c.applicable and not c.diagnostic]
@@ -383,10 +399,10 @@ def run_scenario(config: dict) -> dict:
 def convergence_study(config: dict, levels: int) -> dict:
     """Re-run a grid scenario at h, h/2, h/4, ... and report observed
     convergence orders of the lowest eigenvalues."""
-    scenario = parse_config(config)
     levels = int(levels)
     if levels < 2:
         raise InputDataError(f"need at least 2 refinement levels, got {levels}")
+    scenario = parse_config(config, levels)
     grid = scenario.spectrum
     if not isinstance(grid, Grid):
         raise InputDataError("convergence studies need a grid scenario; analytic spectra are exact")

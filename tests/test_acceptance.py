@@ -208,9 +208,8 @@ def test_criterion_7_eigenfunction_suite(disk_ground_h128, square_ground_state_h
     ok = True
 
     # disk ground state: the sharp p = 2 bound is an equality within 2%
-    dom_d, spec_d, pair_d = disk_ground_h128
-    lam_d = float(spec_d.values[0])
-    chk = ms.chiti_check(pair_d.vector, dom_d.h, lam_d, d=2, p=2.0)[0]
+    _, spec_d, _ = disk_ground_h128
+    chk = ms.chiti_check(spec_d, p=2.0)[0]
     ok &= abs(chk.lhs / chk.rhs - 1.0) <= 0.02
 
     # same equality through the analytic profile and quadrature, to 1e-6
@@ -221,22 +220,16 @@ def test_criterion_7_eigenfunction_suite(disk_ground_h128, square_ground_state_h
     ok &= abs(analytic_ratio - 1.0) <= 1e-6
 
     # the square is strictly sub-extremal (p = 1 route)
-    dom_s, spec_s, pair_s = square_ground_state_h64
-    lam_s = float(spec_s.values[0])
-    chk_s = ms.chiti_check(pair_s.vector, dom_s.h, lam_s, d=2, p=1.0)[0]
+    _, spec_s, _ = square_ground_state_h64
+    chk_s = ms.chiti_check(spec_s, p=1.0)[0]
     ok &= chk_s.lhs / chk_s.rhs <= 0.99
 
     # profile domination and ball inclusion for square and magnetic square
-    dom_m, _, spec_m, pairs_m = magnetic_h64
-    runs = [
-        (pair_s.vector, dom_s.h, lam_s, dom_s.measure),
-        (pairs_m[0].vector, dom_m.h, float(spec_m.values[0]), dom_m.measure),
-        (pair_d.vector, dom_d.h, lam_d, dom_d.measure),
-    ]
-    for vec, h, lam, measure in runs:
-        inclusion, domination = ms.comparison_check(vec, h, lam, d=2, measure=measure)
+    _, _, spec_m, _ = magnetic_h64
+    for spec in (spec_s, spec_m, spec_d):
+        inclusion, domination = ms.comparison_check(spec)
         ok &= domination.passed
-        ok &= inclusion.lhs <= measure + inclusion.slack
+        ok &= inclusion.lhs <= spec.measure + inclusion.slack
     _report(7, "eigenfunction suite: disk 1+/-2% and 1+/-1e-6, square <= 0.99, "
                "domination 2%, |S| <= measure", ok)
 

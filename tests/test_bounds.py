@@ -178,7 +178,8 @@ class TestRieszLower:
         lam1 = float(square_spectrum.values[0])
         lam = 5 * np.pi**2
         sup = table.chiti_closed * lam1 ** (d / 4)
-        a = ms.check_sup_norm_riesz_lower(square_spectrum, sup, lam)
+        a = ms.check_sup_norm_riesz_lower(
+            dataclasses.replace(square_spectrum, ground_state=np.array([sup])), lam)
         b = ms.check_riesz_lower(square_spectrum, lam)
         assert a.lhs == pytest.approx(b.lhs, rel=1e-9)
 
@@ -272,14 +273,18 @@ class TestSlackPolicy:
         assert chk.passed and chk.tolerance_pass
 
     def test_slack_is_derived_not_passed(self):
-        # every check reads h, |Omega| and d from its spectrum and takes no
-        # slack, so a spectrum cannot be paired with another grid's slack
+        # every check reads h, |Omega|, d and the ground state from its spectrum
+        # and takes no slack, so a spectrum cannot be paired with another grid's
+        # slack or another solve's sup norm
         names = [n for n in bounds.__all__ if n.startswith("check_")]
         assert len(names) == 8
         for name in names:
             params = list(inspect.signature(getattr(bounds, name)).parameters)
-            assert params[0] == "spec", name
-            assert not {"slack", "h", "measure", "table"} & set(params), name
+            assert params in (["spec", "k"], ["spec", "lam"]), name
+
+    def test_sup_norm_check_needs_a_ground_state(self, square_spectrum):
+        with pytest.raises(ValueError, match="needs a grid spectrum with its ground state"):
+            ms.check_sup_norm_riesz_lower(square_spectrum, 50.0)
 
     def test_grid_spectrum_carries_its_slack(self, magnetic_square_op):
         # no h is passed: each check on a grid spectrum takes discrete_slack(spec.h, scale)
@@ -296,7 +301,8 @@ class TestSlackPolicy:
         assert {c.slack for c in ms.check_ratio_bounds(spec, 3)} == {slack(vals[3])}
         assert ms.check_yang(spec, 3).slack == slack(float(vals[3]) ** 2 * 3)
         assert {c.slack for c in ms.check_yang_corollaries(spec, 3)} == {slack(vals[3])}
-        assert ms.check_sup_norm_riesz_lower(spec, 2.0, lam).slack == slack(lam**2 / 4.0)
+        with_sup_2 = dataclasses.replace(spec, ground_state=np.array([0.5, -2.0]))
+        assert ms.check_sup_norm_riesz_lower(with_sup_2, lam).slack == slack(lam**2 / 4.0)
         # the same values as an exact spectrum take the relative slack 1e-10
         exact = dataclasses.replace(spec, h=None)
         assert ms.check_yang(exact, 3).slack == ms.ANALYTIC_SLACK_RTOL * (float(vals[3]) ** 2 * 3)

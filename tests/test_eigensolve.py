@@ -143,6 +143,13 @@ class TestCompleteness:
 
 
 class TestSpectrumType:
+    def test_grid_spectrum_holds_its_ground_state(self, small_square_op):
+        # the first eigenvector itself, not a copy; exact spectra have none
+        _, op = small_square_op
+        spec, pairs = ms.lowest_eigenpairs(op, 3)
+        assert spec.ground_state is pairs[0].vector
+        assert ms.box_spectrum([1.0, 1.0], 3).ground_state is None
+
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             ms.Spectrum(d=2, values=np.array([2.0, 1.0]), measure=1.0)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +6,12 @@ import pytest
 
 import magspec as ms
 from magspec import eigfn
+
+
+def _spectrum_of(u, lam, cell_area):
+    """A one-value grid spectrum whose ground state is the grid function u."""
+    return ms.Spectrum(d=2, values=[lam], measure=u.size * cell_area,
+                       h=math.sqrt(cell_area), ground_state=u)
 
 
 class TestNorms:
@@ -125,9 +132,8 @@ class TestZNorm:
 
 class TestChitiCheck:
     def test_square_ground_state(self, square_ground_state_h64):
-        dom, spec, pair = square_ground_state_h64
-        lam, vec = float(spec.values[0]), pair.vector
-        checks = ms.chiti_check(vec, dom.h, lam, d=2)
+        _, spec, _ = square_ground_state_h64
+        checks = ms.chiti_check(spec)
         by_name = {c.name: c for c in checks}
         assert by_name["chiti-sup-bound"].passed
         assert by_name["heat-kernel-sup-bound"].passed
@@ -135,21 +141,20 @@ class TestChitiCheck:
         # square is close to extremal (ratio ~ 0.996), at p = 1 comfortably so
         ratio2 = by_name["chiti-sup-bound"].lhs / by_name["chiti-sup-bound"].rhs
         assert ratio2 < 0.9999
-        chk1 = ms.chiti_check(vec, dom.h, lam, d=2, p=1.0)[0]
+        chk1 = ms.chiti_check(spec, p=1.0)[0]
         assert chk1.lhs / chk1.rhs <= 0.99
 
     def test_heat_kernel_weaker_than_sharp_at_p2(self, square_ground_state_h64):
-        dom, spec, pair = square_ground_state_h64
-        lam, vec = float(spec.values[0]), pair.vector
-        sharp, heat = ms.chiti_check(vec, dom.h, lam, d=2)
+        _, spec, _ = square_ground_state_h64
+        sharp, heat = ms.chiti_check(spec)
         assert heat.rhs >= sharp.rhs
 
 
 class TestComparisonCheck:
     def test_square_ground_state(self, square_ground_state_h64):
-        dom, spec, pair = square_ground_state_h64
-        lam, vec = float(spec.values[0]), pair.vector
-        inclusion, domination = ms.comparison_check(vec, dom.h, lam, d=2, measure=dom.measure)
+        dom, spec, _ = square_ground_state_h64
+        lam = float(spec.values[0])
+        inclusion, domination = ms.comparison_check(spec)
         assert (inclusion.name, domination.name) == ("ball-inclusion", "profile-domination")
         assert inclusion.passed and domination.passed
         assert inclusion.lhs <= dom.measure + inclusion.slack
@@ -162,8 +167,9 @@ class TestComparisonCheck:
         h = 1 / 256
         dom = ms.build_domain(ms.Disk(1.0), h)
         r = np.hypot(dom.points[:, 0], dom.points[:, 1])
-        omega = ms.z_profile(lam, 2, r)
-        inclusion, domination = ms.comparison_check(omega, h, lam, d=2, measure=dom.measure)
+        spec = ms.Spectrum(d=2, values=[lam], measure=dom.measure, h=h,
+                           ground_state=ms.z_profile(lam, 2, r))
+        inclusion, domination = ms.comparison_check(spec)
         assert inclusion.passed
         # within a quarter of the fixed slack 0.02 z(0)
         assert domination.margin >= -0.005 * float(ms.z_profile(lam, 2, 0.0))
@@ -171,31 +177,41 @@ class TestComparisonCheck:
 
 class TestRearrangementOde:
     def test_exact_profile_has_no_violations(self):
+        # the exact ball profile as a ground state whose cells have area pi / 20000
         lam = float(ms.bessel_zero(0.0, 1)) ** 2
         s = np.arange(1, 20001) * (math.pi / 20000)
         u = ms.z_profile(lam, 2, np.sqrt(s / math.pi))
-        prof = eigfn.RearrangementProfile(s_grid=s, u_values=u)
-        chk = ms.rearrangement_ode_check(prof, lam, 2)
+        chk = ms.rearrangement_ode_check(_spectrum_of(u, lam, cell_area=math.pi / 20000))
         assert chk.applicable and chk.diagnostic and chk.passed
         assert chk.context["violating_fraction"] == 0.0
 
     def test_square_ground_state(self, square_ground_state_h64):
-        dom, spec, pair = square_ground_state_h64
-        lam, vec = float(spec.values[0]), pair.vector
-        prof = ms.decreasing_rearrangement(vec, dom.h)
-        chk = ms.rearrangement_ode_check(prof, lam, 2)
+        _, spec, _ = square_ground_state_h64
+        chk = ms.rearrangement_ode_check(spec)
         assert chk.passed
         assert chk.context["violating_fraction"] <= 0.05
 
     def test_constant_profile_not_applicable(self):
-        prof = eigfn.RearrangementProfile(
-            s_grid=np.arange(1, 101) * 0.01, u_values=np.ones(100))
-        chk = ms.rearrangement_ode_check(prof, 10.0, 2)
+        chk = ms.rearrangement_ode_check(_spectrum_of(np.ones(100), 10.0, cell_area=0.01))
         assert not chk.applicable
         assert chk.passed
 
     def test_tiny_profile_not_applicable(self):
-        prof = eigfn.RearrangementProfile(
-            s_grid=np.arange(1, 5) * 0.1, u_values=np.array([4.0, 3.0, 2.0, 1.0]))
-        chk = ms.rearrangement_ode_check(prof, 10.0, 2)
+        chk = ms.rearrangement_ode_check(
+            _spectrum_of(np.array([4.0, 3.0, 2.0, 1.0]), 10.0, cell_area=0.1))
         assert not chk.applicable
+
+
+class TestChecksReadTheSpectrum:
+    def test_signatures(self):
+        # lambda_1, omega, h, d and |Omega| come from the spectrum, never the caller
+        for name, params in [("chiti_check", ["spec", "p"]), ("comparison_check", ["spec"]),
+                             ("rearrangement_ode_check", ["spec"])]:
+            assert list(inspect.signature(getattr(eigfn, name)).parameters) == params
+
+    @pytest.mark.parametrize("check", [ms.chiti_check, ms.comparison_check,
+                                       ms.rearrangement_ode_check],
+                             ids=["chiti", "comparison", "ode"])
+    def test_spectrum_without_ground_state_refused(self, check, square_spectrum):
+        with pytest.raises(ValueError, match="needs a grid spectrum with its ground state"):
+            check(square_spectrum)

@@ -206,6 +206,19 @@ class TestRunScenario:
             scale = scales[chk["name"]](chk["context"])
             assert chk["slack"] == slack(scale), chk["name"]
 
+    def test_overflowing_bound_is_a_check_error(self, tmp_path):
+        # a five-box of side 1e-50 has lambda_5 = 7.9e101, whose lambda^(7/2) in the
+        # Berezin-Li-Yau bound overflows: an entry in check_errors and exit 3
+        cfg = {"spectrum": {"type": "box", "lengths": [1e-50] * 5, "count": 10},
+               "checks": [{"name": "berezin-li-yau", "lambda_indices": [5]},
+                          {"name": "li-yau", "ks": [3]}]}
+        report = harness.run_scenario(cfg)
+        assert [c["name"] for c in report["checks"]] == ["li-yau"]
+        assert [e["error"] for e in report["check_errors"]] == ["OverflowError"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["verify", "--config", str(cfg_path)]) == 3
+
     def test_out_of_range_ks_are_check_errors(self, tmp_path, capsys):
         # k beyond the 250 values of the box (or k = 250, which needs
         # lambda_251) is one ValueError entry per check, and verify exits 3
@@ -696,6 +709,19 @@ class TestCli:
         (grid_config(spectrum={**grid_config()["spectrum"],
                                "solver": {"k": 6, "tol": 1e-10, "maxiter": 5}}),
          "does not read the key 'maxiter'"),
+        # a list or an object cannot even be looked up among the shape kinds
+        *[(grid_config(spectrum={**grid_config()["spectrum"],
+                                 "domain": {"shape": shape, "a": 1.0, "b": 1.0, "h": 0.125}}),
+           "'domain.shape'") for shape in ([], {}, True, 1.5)],
+        # pi^2 / L^2, L^2 or |Omega| overflowed or underflowed, and escaped as an
+        # OverflowError or a ZeroDivisionError
+        ({"spectrum": {"type": "box", "lengths": [1e300, 1.0], "count": 10}}, "'lengths'"),
+        (grid_config(reference={"type": "box", "lengths": [1e300, 1.0]}), "'reference.lengths'"),
+        ({"spectrum": {"type": "box", "lengths": [1e-70] * 5, "count": 10}}, "'lengths'"),
+        ({"spectrum": {"type": "disk", "radius": 1e300, "count": 10}}, "'radius'"),
+        (grid_config(reference={"type": "disk", "radius": 1e-300}), "'reference.radius'"),
+        # numpy was asked for 8.88 PiB
+        (grid_config(h=1e-8), "'domain.h'"),
     ], ids=["rectangle-b", "box-lengths", "disk-radius", "domain-h", "gauge-B", "list",
             "domain-number", "gauge-string", "solver-number", "eigenfunction-bool", "slack",
             "chi-number", "chi-short", "center-number", "center-strings", "center-nan",
@@ -708,12 +734,42 @@ class TestCli:
             "B-string", "h-string", "h-bool", "h-zero", "tol-string", "rectangle-a-bool",
             "grid-disk-radius-string", "constant-c-string", "quadratic-a-string",
             "gauge-B-without-kind", "gauge-none-with-B", "potential-c-without-kind",
-            "rectangle-radius", "solver-maxiter"])
+            "rectangle-radius", "solver-maxiter", "shape-list", "shape-object", "shape-bool",
+            "shape-number", "box-lengths-huge", "reference-box-lengths-huge", "box5-lengths-tiny",
+            "disk-radius-huge", "reference-disk-radius-tiny", "h-tiny"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, command, config, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         assert cli.main([command, "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,h", [
+        (["verify"], 1e-8), (["convergence", "--levels", "7"], 1 / 64),
+        (["convergence", "--levels", "5000"], 1 / 8),
+    ], ids=["verify", "convergence-finest-level", "many-levels"])
+    def test_grid_beyond_the_node_limit_refused_before_the_build(self, tmp_path, capsys,
+                                                                monkeypatch, argv, h):
+        # a convergence study is checked at its finest level, h / 2^(levels - 1)
+        def build(*args):
+            raise AssertionError("built a grid beyond the node limit")
+
+        monkeypatch.setattr(harness, "build_domain", build)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(grid_config(h=h)))
+        assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"'domain.h' gives more than {harness.MAX_GRID_NODES} grid nodes" in err
+
+    def test_node_limit_is_on_the_bounding_box(self):
+        # the unit square's bounding box has (1/h + 1)^2 nodes: 998001 at h = 1/998
+        assert harness.MAX_GRID_NODES == 10**6
+        harness.parse_config(grid_config(h=1 / 998))
+        harness.parse_config(grid_config(h=1 / 499), levels=2)
+        with pytest.raises(ms.InputDataError, match=r"^'domain.h' gives more than 1000000 "
+                                                    r"grid nodes at h = 0\.001$"):
+            harness.parse_config(grid_config(h=1 / 1000))
+        with pytest.raises(ms.InputDataError, match=r"at h = 0\.001$"):
+            harness.parse_config(grid_config(h=1 / 500), levels=2)
 
     @pytest.mark.parametrize("command", ["verify", "spectrum", "convergence"])
     @pytest.mark.parametrize("checks,message", [
