@@ -33,12 +33,9 @@ def _load_config(path: str) -> dict:
     if not p.is_file():
         raise InputDataError(f"config file not found: {path}")
     try:
-        config = json.loads(p.read_text())
+        return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise InputDataError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise InputDataError(f"config must be a JSON object, got a {type(config).__name__}")
-    return config
 
 
 def _cmd_constants(args) -> int:

@@ -101,9 +101,14 @@ def _solve_dense(op: MagneticOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _factor(a: sp.spmatrix):
     """LU of a Hermitian matrix with a symmetric ordering and diagonal pivots,
-    so that U's diagonal is the D of an LDL^H factorization."""
-    lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                   options={"SymmetricMode": True})
+    so that U's diagonal is the D of an LDL^H factorization.  A singular matrix
+    raises NumericalError (exit 3): SuperLU's own RuntimeError would end the CLI
+    in a traceback with exit 1, the violation code."""
+    try:
+        lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise NumericalError(f"sparse factorization failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NumericalError("sparse factorization pivoted off the diagonal")
     return lu

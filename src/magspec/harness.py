@@ -89,26 +89,6 @@ class Scenario:
     reference: Exact | None
 
 
-def _required(block: dict, where: str, *keys: str, others: tuple | None = None) -> list:
-    """The values of ``keys`` in a config block.  An InputDataError names a missing
-    key or, when ``others`` are given, a key in neither: one the block's kind does not read."""
-    for key in keys:
-        if key not in block:
-            raise InputDataError(f"{where} needs the key {key!r}")
-    extra = sorted(set(block) - set(keys) - set(others)) if others is not None else []
-    if extra:
-        raise InputDataError(f"{where} does not read the key {extra[0]!r}")
-    return [block[key] for key in keys]
-
-
-def _object(block: dict, key: str) -> dict:
-    """The JSON object under ``key`` ({} when absent), or an InputDataError naming the key."""
-    value = block.get(key, {})
-    if not isinstance(value, dict):
-        raise InputDataError(f"{key!r} must be a JSON object, got {value!r}")
-    return value
-
-
 #: Kind of number -> (test on a finite number, how a message names it).
 _NUMBERS = {
     "real": (lambda x: True, "a finite number"),
@@ -138,10 +118,111 @@ def _number(value, key: str, kind: str = "real", sizes: range | None = None):
     return value if kind == "count" else float(value)
 
 
-#: Shape kind -> its class and the domain keys of its arguments, in order.
-_SHAPES = {"rectangle": (Rectangle, "a", "b"), "disk": (Disk, "radius"),
-           "lshape": (LShape, "a", "b", "cut"), "annulus": (Annulus, "r_inner", "r_outer"),
-           "mask_file": (MaskFile, "path")}
+#: Kind of a value that is no number -> its type and how a message names it.
+_TYPES = {"bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+class _Choice(dict):
+    """The kind of the key that picks the rest of a block's table: a spectrum's
+    ``type``, a domain's ``shape``, a gauge's or potential's ``kind``, a check's
+    ``name``.  Maps each value to (build, the keys it adds); the key reads as
+    build(**their values), or with a build of None keeps its value and theirs."""
+
+
+def _read(block, name: str, table: dict) -> dict:
+    """The values of config block ``name`` ("" for the whole config) by its key table.
+
+    A table maps each key to (kind, default); a default of ... marks a required
+    key, one of None a key that may be absent.  A kind is a ``_NUMBERS`` kind,
+    (such a kind, sizes) for a list of numbers, a ``_TYPES`` kind, a table for a
+    nested block, [table] for a list of blocks, or a ``_Choice``.  A key is named
+    'block.key' after the key its block sits under.  An InputDataError refuses a
+    block that is not a JSON object, a missing key, a malformed value and a key
+    the table does not list, and names it.
+    """
+    label = repr(name) if name else "the config"
+    if not isinstance(block, dict):
+        raise InputDataError(f"{label} must be a JSON object, got {block!r}")
+    entries, values, builds = list(table.items()), {}, []
+    for key, (kind, default) in entries:  # a choice appends the keys it adds
+        if key not in block and default is ...:
+            raise InputDataError(f"{label} needs the key {key!r}")
+        value, where = block.get(key, default), f"{name}.{key}" if name else key
+        if isinstance(kind, _Choice):
+            if not isinstance(value, str) or value not in kind:
+                raise InputDataError(f"{where!r} must be one of {', '.join(kind)}, "
+                                     f"got {value!r}")
+            builds.append((key, *kind[value]))
+            entries += kind[value][1].items()
+        elif key in block or default is not None:
+            value = _value(value, key, where, kind)
+        values[key] = value
+    for key in block:
+        if key not in values:
+            raise InputDataError(f"{label} does not read the key {key!r}")
+    for key, build, keys in builds:
+        if build:
+            values[key] = build(**{k: values.pop(k) for k in keys})
+    return values
+
+
+def _value(value, key: str, where: str, kind):
+    """``value`` of ``key``, named ``where``, read as ``kind`` (see ``_read``)."""
+    if isinstance(kind, dict):
+        return _read(value, key, kind)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise InputDataError(f"{where!r} must be a list, got {value!r}")
+        return [_read(x, f"{key}[{i}]", kind[0]) for i, x in enumerate(value)]
+    if kind in _TYPES:
+        cls, what = _TYPES[kind]
+        if not isinstance(value, cls):
+            raise InputDataError(f"{where!r} must be {what}, got {value!r}")
+        return value
+    return _number(value, where, *kind) if isinstance(kind, tuple) else _number(value, where, kind)
+
+
+# the key tables; each builds what the rest of the run reads
+_LENGTH = ("length", ...)  # a required length
+_BOX = {"lengths": (("length", range(2, 6)), ...)}
+_DISK = {"radius": _LENGTH}
+_DOMAIN = {"shape": (_Choice(
+    rectangle=(Rectangle, {"a": _LENGTH, "b": _LENGTH}),
+    disk=(Disk, {"radius": _LENGTH}),
+    lshape=(LShape, {"a": _LENGTH, "b": _LENGTH, "cut": _LENGTH}),
+    annulus=(Annulus, {"r_inner": _LENGTH, "r_outer": _LENGTH}),
+    mask_file=(MaskFile, {"path": ("str", ...)})), ...), "h": _LENGTH}
+_GAUGE = {"kind": (_Choice(
+    none=(GaugeSpec.none, {}),
+    uniform=(GaugeSpec.uniform, {"B": ("real", ...)}),
+    linear_gauge_shift=(lambda B, chi_coeffs: GaugeSpec.linear_gauge_shift(*chi_coeffs, B=B),
+                        {"B": ("real", 0.0),
+                         "chi_coeffs": (("real", range(2, 4)), [0.0, 0.0, 0.0])})), "none")}
+_POTENTIAL = {"kind": (_Choice(
+    zero=(PotentialSpec.zero, {}),
+    constant=(PotentialSpec.constant, {"c": ("nonnegative", ...)}),
+    radial_quadratic=(PotentialSpec.radial_quadratic,
+                      {"a": ("nonnegative", ...), "center": (("real", range(2, 3)), [0.0, 0.0])}),
+    grid_file=(PotentialSpec.grid_file, {"path": ("str", ...)})), "zero")}
+_GRID = {"domain": (_DOMAIN, ...), "gauge": (_GAUGE, {}), "potential": (_POTENTIAL, {}),
+         "solver": ({"k": ("count", 10), "tol": ("positive", 1e-10)}, {})}
+_SPECTRUM = {"type": (_Choice(
+    box=(lambda lengths, count: Exact("box", lengths, count), {**_BOX, "count": ("count", ...)}),
+    disk=(lambda radius, count: Exact("disk", radius, count), {**_DISK, "count": ("count", ...)}),
+    grid=(lambda domain, gauge, potential, solver: Grid(
+        gauge=gauge["kind"], potential=potential["kind"], **domain, **solver), _GRID)), ...)}
+_REFERENCE = {"type": (_Choice(box=(lambda lengths: Exact("box", lengths), _BOX),
+                               disk=(lambda radius: Exact("disk", radius), _DISK)), ...)}
+#: A check entry reads the key of its parameters; a lambdas check also reads lambda_indices.
+_CHECK_KEYS = {"ks": {"ks": (("count", _ANY_LENGTH), [])},
+               "lambdas": {"lambdas": (("nonnegative", _ANY_LENGTH), []),
+                           "lambda_indices": (("count", _ANY_LENGTH), [])}}
+_CHECK = {"name": (_Choice({name: (None, _CHECK_KEYS[param])
+                            for name, (param, _) in bounds.CHECKS.items()}), ...)}
+_EIGENFUNCTION = {"chiti": ("bool", True), "comparison": ("bool", True), "ode": ("bool", False),
+                  "p": ("positive", 2.0)}
+_CONFIG = {"name": ("str", None), "spectrum": (_SPECTRUM, ...), "checks": ([_CHECK], []),
+           "eigenfunction": (_EIGENFUNCTION, None), "reference": (_REFERENCE, None)}
 
 
 #: Most nodes the bounding box of a grid may have.  A magnetic-grid pass peaks
@@ -152,105 +233,23 @@ MAX_GRID_NODES = 10**6
 
 def parse_shape(d: dict) -> Shape:
     """The shape of a grid ``domain`` block, whose other key is ``h``."""
-    kind = d.get("shape")
-    if not isinstance(kind, str) or kind not in _SHAPES:
-        raise InputDataError(f"'domain.shape' must be one of {', '.join(_SHAPES)}, "
-                             f"got {kind!r}")
-    cls, *keys = _SHAPES[kind]
-    values = _required(d, f"a {kind} domain", *keys, others=("shape", "h"))
-    if cls is MaskFile:
-        return MaskFile(str(values[0]))
-    return cls(*(_number(x, f"domain.{key}", "positive") for key, x in zip(keys, values)))
+    return _read(d, "domain", {**_DOMAIN, "h": ("length", None)})["shape"]
 
 
 def parse_gauge(d: dict | None) -> GaugeSpec:
-    d = d or {}
-    kind = d.get("kind", "none")
-    if kind == "none":
-        _required(d, "a gauge of kind 'none'", others=("kind",))
-        return GaugeSpec.none()
-    if kind == "uniform":
-        (B,) = _required(d, "a uniform gauge", "B", others=("kind",))
-        return GaugeSpec.uniform(_number(B, "gauge.B"))
-    if kind == "linear_gauge_shift":
-        _required(d, "a linear_gauge_shift gauge", others=("kind", "B", "chi_coeffs"))
-        chi = _number(d.get("chi_coeffs", [0.0, 0.0, 0.0]), "chi_coeffs", sizes=range(2, 4))
-        return GaugeSpec.linear_gauge_shift(*chi, B=_number(d.get("B", 0.0), "gauge.B"))
-    raise InputDataError(f"unknown gauge kind {kind!r}")
+    return _read(d or {}, "gauge", _GAUGE)["kind"]
 
 
 def parse_potential(d: dict | None) -> PotentialSpec:
-    d = d or {}
-    kind = d.get("kind", "zero")
-    if kind == "zero":
-        _required(d, "a potential of kind 'zero'", others=("kind",))
-        return PotentialSpec.zero()
-    if kind == "constant":
-        (c,) = _required(d, "a constant potential", "c", others=("kind",))
-        return PotentialSpec.constant(_number(c, "potential.c"))
-    if kind == "radial_quadratic":
-        (a,) = _required(d, "a radial_quadratic potential", "a", others=("kind", "center"))
-        center = _number(d.get("center", [0.0, 0.0]), "center", sizes=range(2, 3))
-        return PotentialSpec.radial_quadratic(_number(a, "potential.a"), center)
-    if kind == "grid_file":
-        (path,) = _required(d, "a grid_file potential", "path", others=("kind",))
-        return PotentialSpec.grid_file(str(path))
-    raise InputDataError(f"unknown potential kind {kind!r}")
+    return _read(d or {}, "potential", _POTENTIAL)["kind"]
 
 
-def _grid(src: dict, levels: int) -> Grid:
-    """A grid block, refused when its finest level h / 2^(levels - 1) has more than
-    MAX_GRID_NODES bounding-box nodes (a mask file's grid is its file's)."""
-    _required(src, "grid spectrum", "domain")
-    domain, solver = _object(src, "domain"), _object(src, "solver")
-    (h,) = _required(domain, "grid domain", "h")
-    _required(solver, "the solver", others=("k", "tol"))
-    shape, h = parse_shape(domain), _number(h, "domain.h", "positive")
-    if not isinstance(shape, MaskFile):
-        x0, y0, x1, y1 = shape.bounding_box()
-        finest = h * 0.5 ** (levels - 1)  # 0.0 for very many levels
-        if not finest or ((x1 - x0) / finest + 1) * ((y1 - y0) / finest + 1) > MAX_GRID_NODES:
-            raise InputDataError(f"'domain.h' gives more than {MAX_GRID_NODES} grid nodes "
-                                 f"at h = {finest:.6g}")
-    return Grid(shape, h, parse_gauge(_object(src, "gauge")),
-                parse_potential(_object(src, "potential")),
-                _number(solver.get("k", 10), "solver.k", "count"),
-                _number(solver.get("tol", 1e-10), "solver.tol", "positive"))
-
-
-def _exact(block: dict, where: str) -> Exact:
-    """A box or disk ``spectrum`` block, with its ``count``, or a convergence ``reference``."""
-    prefix = "reference." if where == "reference" else ""
-    kind = block.get("type")
-    if kind not in ("box", "disk"):
-        raise InputDataError(f"'{prefix}type' must be box or disk, got {kind!r}")
-    count = _number(*_required(block, f"{kind} {where}", "count"), "count", "count") \
-        if where == "spectrum" else None
-    key = "lengths" if kind == "box" else "radius"
-    size = _number(*_required(block, f"{kind} {where}", key), prefix + key, "length",
-                   range(2, 6) if kind == "box" else None)
-    return Exact(kind, size, count)
-
-
-#: Check parameter key -> the kind of number each of its entries must be.
-_CHECK_PARAMS = {"ks": "count", "lambdas": "nonnegative", "lambda_indices": "count"}
-
-
-def _check(chk, spectrum: Exact | Grid) -> tuple[str, tuple, tuple]:
-    """A check entry, with its lambda indices checked against the spectrum's length."""
-    if not isinstance(chk, dict):
-        raise InputDataError(f"each entry of 'checks' must be a JSON object, got {chk!r}")
-    name = chk.get("name")
-    if not isinstance(name, str) or name not in bounds.CHECKS:
-        raise InputDataError(f"unknown check {name!r}")
+def _check(entry: dict, spectrum: Exact | Grid) -> tuple[str, tuple, tuple]:
+    """A read check entry, with its lambda indices checked against the spectrum's length."""
+    name, keys = entry["name"], [key for key in entry if key != "name"]
     if name == "ground-state-riesz-lower" and isinstance(spectrum, Exact):
         raise InputDataError(f"{name} needs a grid scenario with computed eigenfunctions")
-    param = bounds.CHECKS[name][0]
-    keys = ("ks",) if param == "ks" else ("lambdas", "lambda_indices")
-    _required(chk, f"a {name} check", others=("name", *keys))
-    ks, lambdas, indices = (_number(chk.get(key, []), key, kind, _ANY_LENGTH)
-                            for key, kind in _CHECK_PARAMS.items())
-    values = ks if param == "ks" else lambdas
+    values, indices = entry[keys[0]], entry.get("lambda_indices", ())
     if not values + indices:
         raise InputDataError(f"a {name} check needs a value under "
                              f"{' or '.join(map(repr, keys))}")
@@ -261,35 +260,24 @@ def _check(chk, spectrum: Exact | Grid) -> tuple[str, tuple, tuple]:
     return name, values, indices
 
 
-def _eigenfunction(eig: dict) -> dict | None:
-    """The analyses of an ``eigenfunction`` block; None when it is absent or empty."""
-    if "tol" in eig:
-        raise InputDataError("config key 'eigenfunction.tol' is not supported: slacks are fixed")
-    flags = {key: eig.get(key, default)
-             for key, default in (("chiti", True), ("comparison", True), ("ode", False))}
-    for key, value in flags.items():
-        if not isinstance(value, bool):
-            raise InputDataError(f"'eigenfunction.{key}' must be true or false, got {value!r}")
-    p = _number(eig.get("p", 2.0), "eigenfunction.p", "positive")
-    return {**flags, "p": p} if eig else None
-
-
 def parse_config(config: dict, levels: int = 1) -> Scenario:
     """Read, check and convert every key of a config once, or name a malformed one.
-    A grid is checked at the finest of ``levels`` convergence levels."""
-    if "slack" in config:
-        raise InputDataError("config key 'slack' is not supported: slacks are fixed")
-    src = config.get("spectrum")
-    if not isinstance(src, dict) or src.get("type") not in ("box", "disk", "grid"):
-        raise InputDataError("config needs a 'spectrum' block of type box, disk or grid")
-    spectrum = _grid(src, levels) if src["type"] == "grid" else _exact(src, "spectrum")
-    checks = config.get("checks", [])
-    if not isinstance(checks, list):
-        raise InputDataError(f"'checks' must be a list, got {checks!r}")
-    return Scenario(spectrum, [_check(chk, spectrum) for chk in checks],
-                    _eigenfunction(_object(config, "eigenfunction")),
-                    _exact(_object(config, "reference"), "reference")
-                    if "reference" in config else None)
+    A grid is refused when its finest level h / 2^(levels - 1) of ``levels``
+    convergence levels has more than MAX_GRID_NODES bounding-box nodes (a mask
+    file's grid is its file's)."""
+    top = _read(config, "", _CONFIG)
+    spectrum, reference = top["spectrum"]["type"], top["reference"]
+    if isinstance(spectrum, Grid) and not isinstance(spectrum.shape, MaskFile):
+        x0, y0, x1, y1 = spectrum.shape.bounding_box()
+        finest = spectrum.h * 0.5 ** (levels - 1)  # 0.0 for very many levels
+        if not finest or ((x1 - x0) / finest + 1) * ((y1 - y0) / finest + 1) > MAX_GRID_NODES:
+            raise InputDataError(f"'domain.h' gives more than {MAX_GRID_NODES} grid nodes "
+                                 f"at h = {finest:.6g}")
+    if top["eigenfunction"] is not None and isinstance(spectrum, Exact):
+        raise InputDataError("an 'eigenfunction' block needs a grid spectrum: a box or "
+                             "disk spectrum has no computed eigenfunctions")
+    return Scenario(spectrum, [_check(entry, spectrum) for entry in top["checks"]],
+                    top["eigenfunction"], reference and reference["type"])
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +308,7 @@ def _run_checks(checks: list, spec: Spectrum) -> tuple[list, list]:
 
 
 def _run_eigenfunction(eig: dict | None, spec: Spectrum) -> tuple[dict, list]:
-    if eig is None or spec.ground_state is None:
+    if eig is None:
         return {}, []
     rep = eigfn.norms(spec.ground_state, spec.h, p_list=(1.0, 2.0))
     out = {"norms": {"sup_norm": rep.sup_norm, "lp": {str(p): v for p, v in rep.lp.items()},
@@ -427,7 +415,7 @@ def convergence_study(config: dict, levels: int) -> dict:
     }
 
     if scenario.reference and len(level_values) >= 2:
-        exact = scenario.reference.spectrum(max(4 * grid.k, 50)).values[:grid.k]
+        exact = scenario.reference.spectrum(grid.k).values
         report["reference_values"] = _jsonable(exact)
         # errors against the reference
         errors = [np.abs(v - exact) for v in level_values]

@@ -4,7 +4,8 @@ Each example takes a demo config on a coarse grid and changes one or two of
 its entries: a value of another type, a deleted key or an unknown key. It
 runs the result through ``cli.main``, which must return 0-3 and raise
 nothing, and return 1 (a violation) only when the report's ``overall_pass``
-is false.
+is false.  A config that still holds an added key must be refused (exit 2):
+every block refuses a key it does not read.
 """
 
 import copy
@@ -68,6 +69,12 @@ def mutated(draw):
     return draw(st.sampled_from(["verify", "spectrum", "convergence"])), config
 
 
+def _holds_added_key(node) -> bool:
+    if isinstance(node, dict):
+        return "unknown" in node or any(map(_holds_added_key, node.values()))
+    return isinstance(node, list) and any(map(_holds_added_key, node))
+
+
 def _run(command: str, config: dict) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp, "cfg.json"), Path(tmp, "out")
@@ -75,6 +82,7 @@ def _run(command: str, config: dict) -> None:
         argv = [command, "--config", str(cfg), "--out", str(out)]
         code = cli.main(argv + (["--levels", "2"] if command == "convergence" else []))
         assert code in (0, 1, 2, 3)
+        assert code == 2 or not _holds_added_key(config)
         if code == 1:
             assert command == "verify" and not json.loads(out.read_text())["overall_pass"]
 
@@ -84,5 +92,6 @@ def _run(command: str, config: dict) -> None:
 @given(mutated())
 @example(("spectrum", {"spectrum": {"type": "grid",
                                     "domain": {"shape": [], "h": 0.125}}}))
+@example(("verify", {**CONFIGS[0], "unknown": None}))
 def test_mutated_config_ends_in_an_exit_code(case):
     _run(*case)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import magspec as ms
 from magspec import eigensolve
@@ -140,6 +141,12 @@ class TestCompleteness:
         for j in (0, 1, 3, 10, 19):
             below = eigensolve._count_below(eigensolve._split(shifted), exact[j] * (1 - 1e-6))
             assert below == np.searchsorted(exact, exact[j])
+
+
+    def test_singular_factor_is_a_numerical_error(self):
+        # SuperLU's RuntimeError read as a violation (exit 1) with a traceback
+        with pytest.raises(ms.NumericalError, match="exactly singular"):
+            eigensolve._factor(sp.csc_matrix((3, 3)))
 
 
 class TestSpectrumType:

@@ -281,6 +281,19 @@ class TestConvergenceStudy:
         assert orders.shape == (1, 2)
         assert np.all(np.abs(orders - 2.0) < 0.3)
 
+    def test_reference_asked_for_k_values(self, monkeypatch):
+        counts = []
+
+        def box_spectrum(lengths, count, exact=ms.box_spectrum):
+            counts.append(count)
+            return exact(lengths, count)
+
+        monkeypatch.setattr(harness.analytic, "box_spectrum", box_spectrum)
+        cfg = grid_config(h=1 / 8, k=4, reference={"type": "box", "lengths": [1.0, 1.0]})
+        report = harness.convergence_study(cfg, levels=2)
+        assert counts == [4]
+        assert report["reference_values"] == ms.box_spectrum([1.0, 1.0], 50).values[:4].tolist()
+
     def test_rejects_analytic_and_short_studies(self):
         with pytest.raises(ms.InputDataError):
             harness.convergence_study(box_config(), levels=3)
@@ -638,21 +651,23 @@ class TestCli:
         (grid_config(slack=1), "'slack'"),
         (grid_config(spectrum={**grid_config()["spectrum"],
                                "gauge": {"kind": "linear_gauge_shift", "chi_coeffs": 5}}),
-         "'chi_coeffs'"),
+         "'gauge.chi_coeffs'"),
         (grid_config(spectrum={**grid_config()["spectrum"],
                                "gauge": {"kind": "linear_gauge_shift", "chi_coeffs": [0.1]}}),
-         "'chi_coeffs'"),
+         "'gauge.chi_coeffs'"),
         (grid_config(spectrum={**grid_config()["spectrum"],
                                "potential": {"kind": "radial_quadratic", "a": 1.0, "center": 5}}),
-         "'center'"),
+         "'potential.center'"),
         (grid_config(spectrum={**grid_config()["spectrum"],
                                "potential": {"kind": "radial_quadratic", "a": 1.0,
-                                             "center": ["0.5", "0.5"]}}), "'center'"),
+                                             "center": ["0.5", "0.5"]}}), "'potential.center'"),
         (grid_config(spectrum={**grid_config()["spectrum"],
                                "potential": {"kind": "radial_quadratic", "a": 1.0,
-                                             "center": [float("nan"), 0.5]}}), "'center'"),
-        ({"spectrum": {"type": "box", "lengths": 5, "count": 10}}, "'lengths'"),
-        ({"spectrum": {"type": "box", "lengths": [1.0, "1.0"], "count": 10}}, "'lengths'"),
+                                             "center": [float("nan"), 0.5]}}),
+         "'potential.center'"),
+        ({"spectrum": {"type": "box", "lengths": 5, "count": 10}}, "'spectrum.lengths'"),
+        ({"spectrum": {"type": "box", "lengths": [1.0, "1.0"], "count": 10}},
+         "'spectrum.lengths'"),
         (grid_config(reference={"type": "box", "lengths": 5}), "'reference.lengths'"),
         (grid_config(eigenfunction={"ode": "no"}), "'eigenfunction.ode'"),
         (grid_config(eigenfunction={"chiti": 1}), "'eigenfunction.chiti'"),
@@ -663,7 +678,7 @@ class TestCli:
         (grid_config(eigenfunction={"p": True}), "'eigenfunction.p'"),
         (grid_config(eigenfunction={"p": float("inf")}), "'eigenfunction.p'"),
         (grid_config(reference=[1.0]), "'reference'"),
-        (grid_config(reference={}), "'reference.type'"),
+        (grid_config(reference={}), "'reference' needs the key 'type'"),
         (grid_config(reference={"type": "annulus"}), "'reference.type'"),
         (grid_config(reference={"type": "disk"}), "'radius'"),
         (grid_config(reference={"type": "disk", "radius": -1.0}), "'reference.radius'"),
@@ -673,9 +688,10 @@ class TestCli:
         (grid_config(k=True), "'solver.k'"),
         (grid_config(k=6.9), "'solver.k'"),
         (grid_config(k=0), "'solver.k'"),
-        ({"spectrum": {"type": "box", "lengths": [1.0, 1.0], "count": 7.9}}, "'count'"),
-        ({"spectrum": {"type": "disk", "radius": 1.0, "count": True}}, "'count'"),
-        ({"spectrum": {"type": "disk", "radius": "1.0", "count": 10}}, "'radius'"),
+        ({"spectrum": {"type": "box", "lengths": [1.0, 1.0], "count": 7.9}},
+         "'spectrum.count'"),
+        ({"spectrum": {"type": "disk", "radius": 1.0, "count": True}}, "'spectrum.count'"),
+        ({"spectrum": {"type": "disk", "radius": "1.0", "count": 10}}, "'spectrum.radius'"),
         (grid_config(B=True), "'gauge.B'"),
         (grid_config(spectrum={**grid_config()["spectrum"],
                                "gauge": {"kind": "uniform", "B": float("nan")}}), "'gauge.B'"),
@@ -715,13 +731,33 @@ class TestCli:
            "'domain.shape'") for shape in ([], {}, True, 1.5)],
         # pi^2 / L^2, L^2 or |Omega| overflowed or underflowed, and escaped as an
         # OverflowError or a ZeroDivisionError
-        ({"spectrum": {"type": "box", "lengths": [1e300, 1.0], "count": 10}}, "'lengths'"),
+        ({"spectrum": {"type": "box", "lengths": [1e300, 1.0], "count": 10}},
+         "'spectrum.lengths'"),
         (grid_config(reference={"type": "box", "lengths": [1e300, 1.0]}), "'reference.lengths'"),
-        ({"spectrum": {"type": "box", "lengths": [1e-70] * 5, "count": 10}}, "'lengths'"),
-        ({"spectrum": {"type": "disk", "radius": 1e300, "count": 10}}, "'radius'"),
+        ({"spectrum": {"type": "box", "lengths": [1e-70] * 5, "count": 10}},
+         "'spectrum.lengths'"),
+        ({"spectrum": {"type": "disk", "radius": 1e300, "count": 10}}, "'spectrum.radius'"),
         (grid_config(reference={"type": "disk", "radius": 1e-300}), "'reference.radius'"),
         # numpy was asked for 8.88 PiB
         (grid_config(h=1e-8), "'domain.h'"),
+        # 1/h^2 = 1e202 squared overflowed in the half-size complement, whose factor
+        # then escaped as SuperLU's RuntimeError
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "domain": {"shape": "rectangle", "a": 1e-100, "b": 1e-100,
+                                          "h": 1e-101}}), "'domain.h'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "domain": {"shape": "disk", "radius": 1e-60, "h": 0.125}}),
+         "'domain.radius'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "potential": {"kind": "constant", "c": -1.0}}), "'potential.c'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "potential": {"kind": "radial_quadratic", "a": -0.5}}),
+         "'potential.a'"),
+        # an exact spectrum has no computed eigenfunctions: the block was dropped
+        ({"spectrum": {"type": "box", "lengths": [1.0, 1.0], "count": 10}, "eigenfunction": {}},
+         "'eigenfunction'"),
+        ({"spectrum": {"type": "disk", "radius": 1.0, "count": 10},
+          "eigenfunction": {"ode": True}}, "'eigenfunction'"),
     ], ids=["rectangle-b", "box-lengths", "disk-radius", "domain-h", "gauge-B", "list",
             "domain-number", "gauge-string", "solver-number", "eigenfunction-bool", "slack",
             "chi-number", "chi-short", "center-number", "center-strings", "center-nan",
@@ -736,12 +772,67 @@ class TestCli:
             "gauge-B-without-kind", "gauge-none-with-B", "potential-c-without-kind",
             "rectangle-radius", "solver-maxiter", "shape-list", "shape-object", "shape-bool",
             "shape-number", "box-lengths-huge", "reference-box-lengths-huge", "box5-lengths-tiny",
-            "disk-radius-huge", "reference-disk-radius-tiny", "h-tiny"])
+            "disk-radius-huge", "reference-disk-radius-tiny", "h-tiny", "rectangle-a-tiny",
+            "grid-disk-radius-tiny", "constant-c-negative", "quadratic-a-negative",
+            "box-eigenfunction", "disk-eigenfunction"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, command, config, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         assert cli.main([command, "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "convergence"])
+    @pytest.mark.parametrize("config,block,key", [
+        (grid_config(chekcs=[{"name": "li-yau", "ks": [1]}]), "the config", "chekcs"),
+        ({"spectrum": {"type": "box", "lengths": [1.0, 1.0], "radius": 1.0, "count": 10}},
+         "'spectrum'", "radius"),
+        ({"spectrum": {"type": "disk", "radius": 1.0, "lengths": [1.0, 1.0], "count": 10}},
+         "'spectrum'", "lengths"),
+        # misspelt, the gauge was left out and the square solved at B = 0
+        (grid_config(spectrum={("guage" if key == "gauge" else key): value
+                               for key, value in grid_config(B=5.0)["spectrum"].items()}),
+         "'spectrum'", "guage"),
+        *[(grid_config(spectrum={**grid_config()["spectrum"], "domain": {**domain, "h": 0.125}}),
+           "'domain'", key) for domain, key in (
+            ({"shape": "rectangle", "a": 1.0, "b": 1.0, "cut": 0.5}, "cut"),
+            ({"shape": "disk", "radius": 1.0, "a": 1.0}, "a"),
+            ({"shape": "lshape", "a": 1.0, "b": 1.0, "cut": 0.5, "r_inner": 0.1}, "r_inner"),
+            ({"shape": "annulus", "r_inner": 0.5, "r_outer": 1.0, "radius": 1.0}, "radius"),
+            ({"shape": "mask_file", "path": "mask.csv", "a": 1.0}, "a"))],
+        *[(grid_config(spectrum={**grid_config()["spectrum"], "gauge": gauge}), "'gauge'", key)
+          for gauge, key in (({"kind": "none", "chi_coeffs": [1.0, 1.0]}, "chi_coeffs"),
+                             ({"kind": "uniform", "B": 5.0, "chi_coeffs": [1.0, 1.0]},
+                              "chi_coeffs"),
+                             ({"kind": "linear_gauge_shift", "B": 5.0, "center": [0.0, 0.0]},
+                              "center"))],
+        *[(grid_config(spectrum={**grid_config()["spectrum"], "potential": potential}),
+           "'potential'", key)
+          for potential, key in (({"kind": "zero", "a": 1.0}, "a"),
+                                 ({"kind": "constant", "c": 1.0, "a": 1.0}, "a"),
+                                 ({"kind": "radial_quadratic", "a": 1.0, "c": 1.0}, "c"),
+                                 ({"kind": "grid_file", "path": "v.csv", "center": [0, 0]},
+                                  "center"))],
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "solver": {"k": 6, "tol": 1e-10, "sigma": 0.0}}), "'solver'",
+         "sigma"),
+        (grid_config(eigenfunction={"chiti": True, "odee": True}), "'eigenfunction'", "odee"),
+        (grid_config(reference={"type": "box", "lengths": [1.0, 1.0], "count": 40}),
+         "'reference'", "count"),
+        (grid_config(reference={"type": "disk", "radius": 1.0, "count": 40}), "'reference'",
+         "count"),
+        (grid_config(checks=[{"name": "yang", "ks": [1]}, {"name": "li-yau", "kss": [1]}]),
+         "'checks[1]'", "kss"),
+    ], ids=["top-chekcs", "box-radius", "disk-lengths", "grid-guage", "rectangle-cut",
+            "disk-a", "lshape-r_inner", "annulus-radius", "mask_file-a", "none-chi_coeffs",
+            "uniform-chi_coeffs", "linear_gauge_shift-center", "zero-a", "constant-a",
+            "radial_quadratic-c", "grid_file-center", "solver-sigma", "eigenfunction-odee",
+            "reference-box-count", "reference-disk-count", "check-kss"])
+    def test_unknown_key_exit_two(self, tmp_path, capsys, command, config, block, key):
+        # every block refuses a key it does not read, naming the block and the key
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        assert f"{block} does not read the key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,h", [
         (["verify"], 1e-8), (["convergence", "--levels", "7"], 1 / 64),
@@ -773,13 +864,13 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["verify", "spectrum", "convergence"])
     @pytest.mark.parametrize("checks,message", [
-        (["li-yau"], "'checks'"),
+        (["li-yau"], "'checks[0]'"),
         ({"name": "li-yau", "ks": [1]}, "'checks'"),
-        ([{"name": "li-yau", "ks": 5}], "'ks'"),
-        ([{"name": "li-yau", "ks": [1.5]}], "'ks'"),
-        ([{"name": "berezin-li-yau", "lambdas": ["60"]}], "'lambdas'"),
-        ([{"name": "berezin-li-yau", "lambda_indices": [True]}], "'lambda_indices'"),
-        ([{"name": "berezin-li-yau", "lambda_indices": [0]}], "'lambda_indices'"),
+        ([{"name": "li-yau", "ks": 5}], "'checks[0].ks'"),
+        ([{"name": "li-yau", "ks": [1.5]}], "'checks[0].ks'"),
+        ([{"name": "berezin-li-yau", "lambdas": ["60"]}], "'checks[0].lambdas'"),
+        ([{"name": "berezin-li-yau", "lambda_indices": [True]}], "'checks[0].lambda_indices'"),
+        ([{"name": "berezin-li-yau", "lambda_indices": [0]}], "'checks[0].lambda_indices'"),
         ([{"name": "berezin-li-yau", "ks": [5]}], "does not read the key 'ks'"),
         ([{"name": "li-yau", "lambdas": [100.0]}], "does not read the key 'lambdas'"),
         ([{"name": "yang", "ks": [1], "lambda_indices": [2]}],
@@ -844,7 +935,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["verify", "spectrum", "convergence"])
     @pytest.mark.parametrize("extra,message", [
         ({"slack": {"c_tol": 1e9}}, "'slack'"),
-        ({"eigenfunction": {"comparison": True, "tol": 0.05}}, "'eigenfunction.tol'"),
+        ({"eigenfunction": {"comparison": True, "tol": 0.05}},
+         "'eigenfunction' does not read the key 'tol'"),
     ], ids=["slack", "eigenfunction-tol"])
     def test_slack_knobs_rejected(self, tmp_path, capsys, command, extra, message):
         # a key that used to rescale a verdict's slack is refused, not ignored
