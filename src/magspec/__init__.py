@@ -29,7 +29,7 @@ from .domain import (
     Rectangle,
     build_domain,
 )
-from .eigensolve import EigenPair, Spectrum, lowest_eigenpairs
+from .eigensolve import Spectrum, lowest_eigenpairs
 from .eigfn import (
     NormReport,
     RearrangementProfile,

@@ -47,7 +47,7 @@ def _cmd_constants(args) -> int:
 def _cmd_spectrum(args) -> int:
     scenario = harness.parse_config(_load_config(args.config))
     harness.check_writable(args.out)
-    values = harness.build_spectrum(scenario.spectrum)[0].values
+    values = harness.build_spectrum(scenario.spectrum).values
     harness.write_spectrum_csv(values, args.out)
     if args.out:
         print(f"wrote {len(values)} eigenvalues to {args.out}")

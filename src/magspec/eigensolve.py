@@ -39,33 +39,29 @@ import scipy.sparse.linalg as spla
 from .errors import NumericalError
 from .operator import MagneticOperator
 
-__all__ = ["EigenPair", "Spectrum", "lowest_eigenpairs"]
+__all__ = ["Spectrum", "lowest_eigenpairs"]
 
 #: Relative gap below which consecutive eigenvalues are flagged degenerate.
 DEGENERACY_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    value: float
-    vector: np.ndarray  # unit norm in the h^2-weighted inner product
-    residual: float  # ||H v - value * v|| / value
-
-
-@dataclass(frozen=True)
 class Spectrum:
-    """Sorted positive eigenvalues, their domain's measure, and the grid spacing h and
-    unit-L2 (h^2-weighted) ground state of a grid solve (both None if exact)."""
+    """Sorted positive eigenvalues, their domain's measure, and of a grid solve the
+    grid spacing h, the unit-L2 (h^2-weighted) ground state and each value's relative
+    residual ||H v - lambda v|| / (lambda ||v||) (None, None and empty if exact)."""
 
     d: int
     values: np.ndarray
     measure: float
     h: float | None = None
     ground_state: np.ndarray | None = field(default=None, repr=False)
+    residuals: np.ndarray = ()
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "residuals", np.asarray(self.residuals, dtype=float))
         if values.size and (np.any(np.diff(values) < -1e-12 * np.abs(values[:-1]))
                             or values[0] <= 0):
             raise ValueError("spectrum must be sorted and strictly positive")
@@ -212,8 +208,9 @@ def _solve_sparse(op: MagneticOperator, split: _Split, k: int, tol: float
 
 
 def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10
-                      ) -> tuple[Spectrum, list[EigenPair]]:
-    """k smallest eigenvalues and h^2-normalized eigenvectors of the operator."""
+                      ) -> tuple[Spectrum, np.ndarray]:
+    """The spectrum of the k smallest eigenvalues of the operator, and their
+    h^2-normalized eigenvectors as the rows of a k x n array."""
     k = int(k)
     if k < 1 or k > op.n:
         raise ValueError(f"need 1 <= k <= n = {op.n}, got k = {k}")
@@ -239,7 +236,7 @@ def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10
     if vecs.shape[0] < op.n:  # the half-size solve: lift only what the count accepted
         vecs = split.lift(vecs, vals)
 
-    pairs = []
+    vectors, residuals = np.empty((k, op.n), dtype=vecs.dtype), np.empty(k)
     for j in range(k):
         v = vecs[:, j]
         v = v / (np.linalg.norm(v) * op.h)  # unit norm with cell weight h^2
@@ -248,7 +245,7 @@ def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10
         # this gate is far stricter than any eigenvalue tolerance downstream
         if res > max(100 * tol, 1e-8):
             raise NumericalError(f"eigenpair {j} residual {res:.2e} exceeds tolerance")
-        pairs.append(EigenPair(value=float(vals[j]), vector=v, residual=float(res)))
+        vectors[j], residuals[j] = v, res
 
     return Spectrum(d=2, values=vals.copy(), h=op.h, measure=op.measure,
-                    ground_state=pairs[0].vector), pairs
+                    ground_state=vectors[0].copy(), residuals=residuals), vectors

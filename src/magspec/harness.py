@@ -25,16 +25,13 @@ import orjson
 from . import analytic, bounds, eigfn
 from .domain import Annulus, Disk, GaugeSpec, LShape, MaskFile, PotentialSpec, Rectangle, \
     Shape, build_domain
-from .eigensolve import EigenPair, Spectrum, _degeneracy_flags, lowest_eigenpairs
+from .eigensolve import Spectrum, _degeneracy_flags, lowest_eigenpairs
 from .errors import InputDataError, NumericalError, TruncationError
 from .operator import assemble
 from .specfun import constants_table
 
 __all__ = [
     "parse_config",
-    "parse_shape",
-    "parse_gauge",
-    "parse_potential",
     "build_spectrum",
     "run_scenario",
     "convergence_study",
@@ -98,6 +95,11 @@ _NUMBERS = {
     # a box length or disk radius: (pi / L)^2, L^2 and the product of up to
     # five lengths then stay normal floats
     "length": (lambda x: 1e-50 <= x <= 1e50, "a number in [1e-50, 1e50]"),
+    # a potential's c or a: for c the residual ||H v - lambda v|| <= 2 (8 / h^2 + c) / h
+    # of a unit (h^2-weighted) v stays below 2e151 at every h >= 1e-50, far from 1e154,
+    # where the square in its norm overflows (as at c = 1e200)
+    "coefficient": (lambda x: 0 <= x <= 1e100, "a number in [0, 1e100]"),
+    "tolerance": (lambda x: 1e-12 <= x <= 1e-4, "a number in [1e-12, 1e-4]"),
 }
 _ANY_LENGTH = range(sys.maxsize)
 
@@ -200,12 +202,12 @@ _GAUGE = {"kind": (_Choice(
                          "chi_coeffs": (("real", range(2, 4)), [0.0, 0.0, 0.0])})), "none")}
 _POTENTIAL = {"kind": (_Choice(
     zero=(PotentialSpec.zero, {}),
-    constant=(PotentialSpec.constant, {"c": ("nonnegative", ...)}),
+    constant=(PotentialSpec.constant, {"c": ("coefficient", ...)}),
     radial_quadratic=(PotentialSpec.radial_quadratic,
-                      {"a": ("nonnegative", ...), "center": (("real", range(2, 3)), [0.0, 0.0])}),
+                      {"a": ("coefficient", ...), "center": (("real", range(2, 3)), [0.0, 0.0])}),
     grid_file=(PotentialSpec.grid_file, {"path": ("str", ...)})), "zero")}
 _GRID = {"domain": (_DOMAIN, ...), "gauge": (_GAUGE, {}), "potential": (_POTENTIAL, {}),
-         "solver": ({"k": ("count", 10), "tol": ("positive", 1e-10)}, {})}
+         "solver": ({"k": ("count", 10), "tol": ("tolerance", 1e-10)}, {})}
 _SPECTRUM = {"type": (_Choice(
     box=(lambda lengths, count: Exact("box", lengths, count), {**_BOX, "count": ("count", ...)}),
     disk=(lambda radius, count: Exact("disk", radius, count), {**_DISK, "count": ("count", ...)}),
@@ -229,19 +231,6 @@ _CONFIG = {"name": ("str", None), "spectrum": (_SPECTRUM, ...), "checks": ([_CHE
 #: at 207 MB with 65025 nodes, about 3.2 kB a node, so a grid at the limit
 #: needs about 3.2 GB.
 MAX_GRID_NODES = 10**6
-
-
-def parse_shape(d: dict) -> Shape:
-    """The shape of a grid ``domain`` block, whose other key is ``h``."""
-    return _read(d, "domain", {**_DOMAIN, "h": ("length", None)})["shape"]
-
-
-def parse_gauge(d: dict | None) -> GaugeSpec:
-    return _read(d or {}, "gauge", _GAUGE)["kind"]
-
-
-def parse_potential(d: dict | None) -> PotentialSpec:
-    return _read(d or {}, "potential", _POTENTIAL)["kind"]
 
 
 def _check(entry: dict, spectrum: Exact | Grid) -> tuple[str, tuple, tuple]:
@@ -283,12 +272,12 @@ def parse_config(config: dict, levels: int = 1) -> Scenario:
 # ---------------------------------------------------------------------------
 # spectrum construction
 
-def build_spectrum(source: Exact | Grid) -> tuple[Spectrum, list[EigenPair]]:
-    """The spectrum of a parsed ``spectrum`` block, and its eigenpairs ([] when exact)."""
+def build_spectrum(source: Exact | Grid) -> Spectrum:
+    """The spectrum of a parsed ``spectrum`` block."""
     if isinstance(source, Exact):
-        return source.spectrum(source.count), []
+        return source.spectrum(source.count)
     op = assemble(build_domain(source.shape, source.h), source.gauge, source.potential)
-    return lowest_eigenpairs(op, source.k, source.tol)
+    return lowest_eigenpairs(op, source.k, source.tol)[0]
 
 
 def _run_checks(checks: list, spec: Spectrum) -> tuple[list, list]:
@@ -354,34 +343,28 @@ def run_scenario(config: dict) -> dict:
     and return a JSON-ready report."""
     scenario = parse_config(config)
     t_start = time.perf_counter()
-    spec, pairs = build_spectrum(scenario.spectrum)
+    spec = build_spectrum(scenario.spectrum)
     t_solve = time.perf_counter() - t_start
     check_results, errors = _run_checks(scenario.checks, spec)
     eig_out, eig_checks = _run_eigenfunction(scenario.eigenfunction, spec)
     check_results = check_results + eig_checks
 
     hard = [c for c in check_results if c.applicable and not c.diagnostic]
-    overall = all(c.passed for c in hard)
-    return {
-        "config": _jsonable(config),
-        "constants": _jsonable(constants_table(spec.d, p_list=(1.0, 2.0))),
+    return _jsonable({
+        "config": config,
+        "constants": constants_table(spec.d, p_list=(1.0, 2.0)),
         "notes": [_COMPACT_RESOLVENT_NOTE] if spec.h is not None else [],
-        "spectrum": {
-            "d": spec.d,
-            "source": spec.source,
-            "measure": _jsonable(spec.measure),
-            "values": _jsonable(spec.values),
-            "residuals": [_jsonable(p.residual) for p in pairs],
-        },
-        "checks": [_jsonable(c) for c in check_results],
-        "check_errors": _jsonable(errors),
-        "eigenfunction": _jsonable(eig_out),
-        "overall_pass": bool(overall),
+        "spectrum": {"d": spec.d, "source": spec.source, "measure": spec.measure,
+                     "values": spec.values, "residuals": spec.residuals},
+        "checks": check_results,
+        "check_errors": errors,
+        "eigenfunction": eig_out,
+        "overall_pass": all(c.passed for c in hard),
         "timing": {
             "solve_seconds": t_solve,
             "total_seconds": time.perf_counter() - t_start,
         },
-    }
+    })
 
 
 def convergence_study(config: dict, levels: int) -> dict:
@@ -399,7 +382,7 @@ def convergence_study(config: dict, levels: int) -> dict:
     t0 = time.perf_counter()
     for level in range(levels):
         try:
-            spec, _ = build_spectrum(dataclasses.replace(grid, h=grid.h / 2**level))
+            spec = build_spectrum(dataclasses.replace(grid, h=grid.h / 2**level))
         except NumericalError as exc:  # a ValueError is a bad config, not a failed level
             failures.append({"level": level, "h": grid.h / 2**level,
                              "error": type(exc).__name__, "message": str(exc)})
@@ -407,16 +390,15 @@ def convergence_study(config: dict, levels: int) -> dict:
         level_values.append(spec.values[:grid.k])
 
     report: dict = {
-        "config": _jsonable(config),
-        "levels": [{"h": grid.h / 2**i, "values": _jsonable(v)}
-                   for i, v in enumerate(level_values)],
+        "config": config,
+        "levels": [{"h": grid.h / 2**i, "values": v} for i, v in enumerate(level_values)],
         "failures": failures,
         "timing": {"total_seconds": time.perf_counter() - t0},
     }
 
     if scenario.reference and len(level_values) >= 2:
         exact = scenario.reference.spectrum(grid.k).values
-        report["reference_values"] = _jsonable(exact)
+        report["reference_values"] = exact
         # errors against the reference
         errors = [np.abs(v - exact) for v in level_values]
     else:
@@ -424,8 +406,8 @@ def convergence_study(config: dict, levels: int) -> dict:
         errors = [np.abs(a - b) for a, b in zip(level_values, level_values[1:])]
     with np.errstate(divide="ignore", invalid="ignore"):
         orders = [np.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
-    report["observed_orders"] = [_jsonable(o) for o in orders]
-    return report
+    report["observed_orders"] = orders
+    return _jsonable(report)
 
 
 def strip_timing(report: dict) -> dict:

@@ -44,8 +44,8 @@ def square_ground_state_h64():
     """Ground state of the non-magnetic unit square at h=1/64."""
     dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 64)
     op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
-    spec, pairs = ms.lowest_eigenpairs(op, 1)
-    return dom, spec, pairs[0]
+    spec, vectors = ms.lowest_eigenpairs(op, 1)
+    return dom, spec, vectors[0]
 
 
 @pytest.fixture

@@ -27,8 +27,8 @@ def magnetic_h64():
     """Unit square, uniform B = 5, h = 1/64, lowest 20 eigenpairs."""
     dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 64)
     op = ms.assemble(dom, ms.GaugeSpec.uniform(5.0), ms.PotentialSpec.zero())
-    spec, pairs = ms.lowest_eigenpairs(op, 20)
-    return dom, op, spec, pairs
+    spec, vectors = ms.lowest_eigenpairs(op, 20)
+    return dom, op, spec, vectors
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +36,8 @@ def disk_ground_h128():
     """Unit disk ground state at h = 1/128."""
     dom = ms.build_domain(ms.Disk(1.0), 1 / 128)
     op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
-    spec, pairs = ms.lowest_eigenpairs(op, 1)
-    return dom, spec, pairs[0]
+    spec, vectors = ms.lowest_eigenpairs(op, 1)
+    return dom, spec, vectors[0]
 
 
 def _all_bound_checks(spec, lambdas, ks):

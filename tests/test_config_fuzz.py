@@ -29,6 +29,19 @@ def _coarse(config: dict) -> dict:
 
 
 CONFIGS = [_coarse(json.loads(p.read_text())) for p in sorted(CONFIG_DIR.glob("*.json"))]
+#: A grid config shaped like the benchmark's: a gauge and a potential with every key,
+#: an eigenfunction block with the ODE check and a convergence reference.
+CONFIGS.append({
+    "spectrum": {"type": "grid",
+                 "domain": {"shape": "lshape", "a": 1.0, "b": 1.0, "cut": 0.5, "h": 0.125},
+                 "gauge": {"kind": "linear_gauge_shift", "B": 4.0, "chi_coeffs": [0.3, -0.2, 0.1]},
+                 "potential": {"kind": "radial_quadratic", "a": 1.0, "center": [0.25, 0.25]},
+                 "solver": {"k": 6, "tol": 1e-10}},
+    "checks": [{"name": "li-yau", "ks": [1, 6]}, {"name": "berezin-li-yau", "lambda_indices": [4]},
+               {"name": "ground-state-riesz-lower", "lambda_indices": [4]}],
+    "eigenfunction": {"chiti": True, "comparison": True, "ode": True},
+    "reference": {"type": "box", "lengths": [1.0, 1.0]},
+})
 
 #: Substitutes: every JSON type, and numbers from -1 to 1e300 with NaN and infinities.
 VALUES = [None, True, False, "x", "1.0", [], {}, [1.0], [1.0, 2.0, 3.0], {"kind": "x"},

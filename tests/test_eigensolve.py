@@ -30,16 +30,35 @@ class TestLowestEigenpairs:
 
     def test_sorted_with_residuals(self, magnetic_square_op):
         _, op = magnetic_square_op
-        spec, pairs = ms.lowest_eigenpairs(op, 8, tol=1e-10)
+        spec, _ = ms.lowest_eigenpairs(op, 8, tol=1e-10)
         assert np.all(np.diff(spec.values) >= 0)
-        assert all(p.residual <= 1e-9 for p in pairs)
+        assert all(r <= 1e-9 for r in spec.residuals)
 
     def test_vectors_h_normalized_and_orthogonal(self, magnetic_square_op):
         _, op = magnetic_square_op
-        _, pairs = ms.lowest_eigenpairs(op, 6)
-        vecs = np.column_stack([p.vector for p in pairs])
+        _, vectors = ms.lowest_eigenpairs(op, 6)
+        vecs = vectors.T
         gram = vecs.conj().T @ vecs * op.h**2
         assert np.max(np.abs(gram - np.eye(6))) < 1e-8
+
+    @pytest.mark.parametrize("fixture", ["small_square_op", "magnetic_square_op"])
+    def test_vectors_are_the_normalized_solve_as_rows(self, fixture, request, monkeypatch):
+        # row j is column j of the lifted solve scaled to unit norm with cell
+        # weight h^2, bit for bit
+        _, op = request.getfixturevalue(fixture)
+        lifted, lift = [], eigensolve._Split.lift
+
+        def record_lift(split, xb, vals):
+            lifted.append(lift(split, xb, vals))
+            return lifted[-1]
+
+        monkeypatch.setattr(eigensolve._Split, "lift", record_lift)
+        _, vectors = ms.lowest_eigenpairs(op, 6)
+        [x] = lifted
+        assert vectors.shape == (6, op.n) and vectors.dtype == op.matrix.dtype
+        for j, v in enumerate(vectors):
+            assert np.array_equal(v, x[:, j] / (np.linalg.norm(x[:, j]) * op.h))
+            assert np.linalg.norm(v) * op.h == pytest.approx(1.0, abs=1e-14)
 
     def test_degeneracy_flags_on_square(self, small_square_op):
         _, op = small_square_op
@@ -56,10 +75,10 @@ class TestLowestEigenpairs:
 
     def test_deterministic(self, magnetic_square_op):
         _, op = magnetic_square_op
-        s1, p1 = ms.lowest_eigenpairs(op, 5)
-        s2, p2 = ms.lowest_eigenpairs(op, 5)
+        s1, v1 = ms.lowest_eigenpairs(op, 5)
+        s2, v2 = ms.lowest_eigenpairs(op, 5)
         assert np.array_equal(s1.values, s2.values)
-        assert all(np.array_equal(a.vector, b.vector) for a, b in zip(p1, p2))
+        assert all(np.array_equal(a, b) for a, b in zip(v1, v2))
 
     def test_rejects_bad_arguments(self, small_square_op):
         _, op = small_square_op
@@ -151,11 +170,22 @@ class TestCompleteness:
 
 class TestSpectrumType:
     def test_grid_spectrum_holds_its_ground_state(self, small_square_op):
-        # the first eigenvector itself, not a copy; exact spectra have none
+        # a copy of the first eigenvector, so that the spectrum keeps no other
+        # vector alive; exact spectra have none
         _, op = small_square_op
-        spec, pairs = ms.lowest_eigenpairs(op, 3)
-        assert spec.ground_state is pairs[0].vector
+        spec, vectors = ms.lowest_eigenpairs(op, 3)
+        assert np.array_equal(spec.ground_state, vectors[0])
+        assert not np.shares_memory(spec.ground_state, vectors)
         assert ms.box_spectrum([1.0, 1.0], 3).ground_state is None
+
+    def test_grid_spectrum_holds_its_residuals(self, small_square_op):
+        # each value's residual, recomputed from its row; exact spectra have none
+        _, op = small_square_op
+        spec, vectors = ms.lowest_eigenpairs(op, 3)
+        assert spec.residuals.shape == (3,)
+        for v, lam, res in zip(vectors, spec.values, spec.residuals):
+            assert res == np.linalg.norm(op.apply(v) - lam * v) / (np.linalg.norm(v) * lam)
+        assert ms.box_spectrum([1.0, 1.0], 3).residuals.shape == (0,)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -241,8 +271,8 @@ def assert_matches_dense(op, vals, vecs):
     assert np.all(res < 1e-9)
 
 
-def assert_pairs_match_dense(op, spec, pairs):
-    assert_matches_dense(op, spec.values, np.column_stack([p.vector for p in pairs]))
+def assert_pairs_match_dense(op, spec, vectors):
+    assert_matches_dense(op, spec.values, vectors.T)
 
 
 class TestHalfSizeSolve:
@@ -294,11 +324,11 @@ class TestHalfSizeSolve:
         monkeypatch.setattr(eigensolve, "_split", record_split)
         monkeypatch.setattr(eigensolve, "_solve_sparse", record_solve)
         monkeypatch.setattr(eigensolve, "_count_below", record_count)
-        spec, pairs = ms.lowest_eigenpairs(op, 8)
+        spec, vectors = ms.lowest_eigenpairs(op, 8)
         assert requests == [8, 16]
         assert len(splits) == 1 and len(used) == 4
         assert all(s is splits[0] for s in used)
-        assert_pairs_match_dense(op, spec, pairs)
+        assert_pairs_match_dense(op, spec, vectors)
         exact = pi_flux_square_spectrum(n)[:8]
         assert np.max(np.abs(spec.values - exact) / exact) < 1e-12
         assert set(factored_sizes) == {np.bincount(op.colour).min()}
@@ -323,9 +353,9 @@ class TestHalfSizeSolve:
 
         monkeypatch.setattr(eigensolve, "_count_below", record_count)
         monkeypatch.setattr(eigensolve._Split, "lift", record_lift)
-        spec, pairs = ms.lowest_eigenpairs(op, 8)
+        spec, vectors = ms.lowest_eigenpairs(op, 8)
         assert events == ["count", "count", ("lift", 8)]
-        assert_pairs_match_dense(op, spec, pairs)
+        assert_pairs_match_dense(op, spec, vectors)
 
     @pytest.mark.parametrize("shape,h,gauge,pot", [
         (ms.Rectangle(1.0, 1.0), 1 / 16, ms.GaugeSpec.none(), ms.PotentialSpec.constant(2.5)),
@@ -406,9 +436,9 @@ class TestHalfSizeSolve:
                          ms.PotentialSpec.zero())
         kept = np.bincount(op.colour).min()
         assert k < kept - 1
-        spec, pairs = ms.lowest_eigenpairs(op, k)
+        spec, vectors = ms.lowest_eigenpairs(op, k)
         assert spec.values[-1] >= 2 / h**2
-        assert_pairs_match_dense(op, spec, pairs)
+        assert_pairs_match_dense(op, spec, vectors)
         # the half-size attempt, then the full-size solve
         assert factored_sizes[:2] == [kept, op.n]
 

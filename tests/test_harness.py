@@ -58,24 +58,33 @@ def grid_config(h=1 / 16, B=0.0, k=6, **extra):
     return cfg
 
 
+def parse_grid(**blocks):
+    """The parsed grid of grid_config() with its spectrum's ``blocks`` replaced, or
+    left out where None."""
+    spectrum = {**grid_config()["spectrum"], **blocks}
+    return harness.parse_config(grid_config(
+        spectrum={key: value for key, value in spectrum.items() if value is not None})).spectrum
+
+
 class TestConfigParsing:
     def test_parse_shapes(self):
-        assert isinstance(harness.parse_shape({"shape": "rectangle", "a": 1, "b": 2}),
-                          ms.Rectangle)
-        assert isinstance(harness.parse_shape({"shape": "disk", "radius": 1}), ms.Disk)
+        assert isinstance(parse_grid(domain={"shape": "rectangle", "a": 1, "b": 2,
+                                             "h": 0.125}).shape, ms.Rectangle)
+        assert isinstance(parse_grid(domain={"shape": "disk", "radius": 1, "h": 0.125}).shape,
+                          ms.Disk)
         with pytest.raises(ms.InputDataError):
-            harness.parse_shape({"shape": "pentagon"})
+            parse_grid(domain={"shape": "pentagon", "h": 0.125})
 
     def test_parse_gauge(self):
-        assert harness.parse_gauge(None) == ms.GaugeSpec.none()
-        assert harness.parse_gauge({"kind": "uniform", "B": 2.0}).B == 2.0
+        assert parse_grid(gauge=None).gauge == ms.GaugeSpec.none()
+        assert parse_grid(gauge={"kind": "uniform", "B": 2.0}).gauge.B == 2.0
         with pytest.raises(ms.InputDataError):
-            harness.parse_gauge({"kind": "torus"})
+            parse_grid(gauge={"kind": "torus"})
 
     def test_parse_potential(self):
-        assert harness.parse_potential(None).kind == "zero"
+        assert parse_grid(potential=None).potential.kind == "zero"
         with pytest.raises(ms.InputDataError):
-            harness.parse_potential({"kind": "random"})
+            parse_grid(potential={"kind": "random"})
 
     def test_parse_config_typed_values(self):
         scenario = harness.parse_config(grid_config(
@@ -153,6 +162,21 @@ class TestRunScenario:
     def test_report_is_json_serializable(self):
         report = harness.run_scenario(grid_config())
         json.dumps(report)
+
+    @pytest.mark.parametrize("source,residuals", [
+        ({"type": "box", "lengths": [1.0, 1.2], "count": 20}, 0),
+        ({"type": "disk", "radius": 1.0, "count": 20}, 0),
+        (grid_config(h=1 / 8)["spectrum"], 6),
+    ], ids=["box", "disk", "grid"])
+    def test_report_spectrum_is_the_built_spectrum(self, source, residuals):
+        # one result per solve: the report reads values and residuals off the
+        # spectrum; an exact spectrum has no residuals
+        config = {"spectrum": source, "checks": []}
+        spec = harness.build_spectrum(harness.parse_config(config).spectrum)
+        assert isinstance(spec, ms.Spectrum) and len(spec.residuals) == residuals
+        written = harness.run_scenario(config)["spectrum"]
+        assert written["values"] == spec.values.tolist()
+        assert written["residuals"] == spec.residuals.tolist()
 
     @pytest.mark.parametrize("source", ["grid", "box"])
     def test_slack_scales_pinned(self, source):
@@ -511,7 +535,7 @@ class TestReportText:
         path = tmp_path / "report.json"
         harness.write_report(harness.run_scenario(config), path)
         written = json.loads(path.read_text())["spectrum"]
-        spec, _ = harness.build_spectrum(harness.parse_config(config).spectrum)
+        spec = harness.build_spectrum(harness.parse_config(config).spectrum)
         flags = _degeneracy_flags(spec.values)
         assert "degeneracy_flags" not in written and flags.any()
         np.testing.assert_array_equal(_degeneracy_flags(np.array(written["values"])), flags)
@@ -753,6 +777,15 @@ class TestCli:
         (grid_config(spectrum={**grid_config()["spectrum"],
                                "potential": {"kind": "radial_quadratic", "a": -0.5}}),
          "'potential.a'"),
+        # the residual's squared norm overflowed: "eigenpair 0 residual inf", exit 3
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "potential": {"kind": "constant", "c": 1e200}}), "'potential.c'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "potential": {"kind": "radial_quadratic", "a": 1e200}}),
+         "'potential.a'"),
+        # refused by the eigensolver only, after the grid was built
+        (grid_config(spectrum={**grid_config()["spectrum"], "solver": {"k": 6, "tol": 1e-3}}),
+         "'solver.tol' must be a number in [1e-12, 1e-4]"),
         # an exact spectrum has no computed eigenfunctions: the block was dropped
         ({"spectrum": {"type": "box", "lengths": [1.0, 1.0], "count": 10}, "eigenfunction": {}},
          "'eigenfunction'"),
@@ -774,7 +807,8 @@ class TestCli:
             "shape-number", "box-lengths-huge", "reference-box-lengths-huge", "box5-lengths-tiny",
             "disk-radius-huge", "reference-disk-radius-tiny", "h-tiny", "rectangle-a-tiny",
             "grid-disk-radius-tiny", "constant-c-negative", "quadratic-a-negative",
-            "box-eigenfunction", "disk-eigenfunction"])
+            "constant-c-huge", "quadratic-a-huge", "tol-wide", "box-eigenfunction",
+            "disk-eigenfunction"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, command, config, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -919,7 +953,7 @@ class TestCli:
         assert capsys.readouterr().out == "overall: pass\n"
 
     @pytest.mark.parametrize("solver,message", [
-        ({"k": 6, "tol": 1e-3}, "tolerance must lie in"),
+        ({"k": 6, "tol": 1e-3}, "'solver.tol' must be a number in [1e-12, 1e-4]"),
         ({"k": 60, "tol": 1e-10}, "got k = 60"),
     ], ids=["tol", "k-above-n"])
     def test_convergence_bad_solver_settings_exit_two(self, tmp_path, capsys, solver, message):
