@@ -36,7 +36,6 @@ from .eigfn import (
     chiti_check,
     comparison_check,
     decreasing_rearrangement,
-    distribution_function,
     norms,
     rearrangement_ode_check,
     z_lp_norm,

@@ -118,10 +118,6 @@ class GridDomain:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def measure(self) -> float:
-        return self.n * self.h**2
-
 
 def _load_csv_array(path: str) -> np.ndarray:
     p = Path(path)
@@ -266,8 +262,6 @@ class PotentialSpec:
             raise InputDataError(
                 f"potential grid {vals.shape} does not match domain grid {dom.dims}"
             )
-        if (vals < 0).any():
-            raise InputDataError("grid-file potential contains negative values")
         ii, jj = np.nonzero(dom.mask)
         return vals[ii, jj]
 

@@ -25,7 +25,6 @@ __all__ = [
     "NormReport",
     "RearrangementProfile",
     "norms",
-    "distribution_function",
     "decreasing_rearrangement",
     "z_profile",
     "z_lp_norm",
@@ -70,13 +69,6 @@ def norms(omega: np.ndarray, h: float, p_list=(1.0, 2.0)) -> NormReport:
           for p in p_list}
     l2 = float(np.sqrt(np.sum(mod**2) * h**2))
     return NormReport(sup_norm=sup, lp=lp, l2_normalized=abs(l2 - 1.0) <= 1e-8)
-
-
-def distribution_function(omega: np.ndarray, h: float, t: float) -> float:
-    """Measure of the superlevel set {|omega| > t} on the grid."""
-    if t < 0:
-        raise ValueError(f"level must be >= 0, got {t}")
-    return float(np.count_nonzero(np.abs(omega) > t)) * h**2
 
 
 def decreasing_rearrangement(omega: np.ndarray, h: float) -> RearrangementProfile:

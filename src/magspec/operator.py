@@ -48,30 +48,16 @@ class MagneticOperator:
     def measure(self) -> float:
         return self.n * self.h**2
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product H v."""
-        v = np.asarray(v)
-        if v.shape != (self.n,):
-            raise ValueError(f"vector of length {v.shape} does not match operator size {self.n}")
-        return self.matrix @ v
-
-    def quadratic_form(self, v: np.ndarray) -> complex:
-        v = np.asarray(v, dtype=complex)
-        return np.vdot(v, self.apply(v))
-
-    def hermiticity_defect(self) -> float:
-        """max |H - H*| over stored entries; zero for a valid assembly."""
-        diff = (self.matrix - self.matrix.getH()).tocoo()
-        return float(np.abs(diff.data).max()) if diff.nnz else 0.0
-
 
 def assemble(dom: GridDomain, gauge: GaugeSpec, pot: PotentialSpec) -> MagneticOperator:
-    """Assemble the discrete operator for a domain, gauge and potential."""
+    """Assemble the discrete operator for a domain, gauge and potential.  A potential
+    that is not finite and non-negative at some interior node is refused."""
     h = dom.h
     n = dom.n
-    v = pot.sample_on(dom)
-    if (v < 0).any():
-        raise InputDataError("potential is negative at some interior node")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        v = pot.sample_on(dom)
+    if not (np.isfinite(v) & (v >= 0)).all():
+        raise InputDataError("potential is not finite and non-negative at some interior node")
 
     rows = [np.arange(n)]
     cols = [np.arange(n)]

@@ -228,8 +228,9 @@ def radial_bessel_integral(d: int, p: float) -> float:
     The integrand is (j1 - r)^p times a factor analytic on [0, j1], so a
     Gauss-Jacobi rule with weight (j1 - r)^p converges geometrically; at
     n = _GAUSS_NODES it is exact to rounding.  The rule at 2n nodes must agree
-    to _GAUSS_RTOL.  A disagreement, or a value that is not finite and positive
-    (p so large that the integral underflows), raises NumericalError.
+    to _GAUSS_RTOL.  A disagreement, a value that is not finite and positive
+    (p so large that the integral underflows), or p so large that scipy cannot
+    build the rule (above about 1e154) raises NumericalError.
     """
     nu = (d - 2) / 2.0
     j1 = bessel_zero(nu, 1)
@@ -242,8 +243,12 @@ def radial_bessel_integral(d: int, p: float) -> float:
         f = special.jv(nu, r) / r**nu * (2 / (1 - x))
         return j1 / 2 * float(np.dot(w * 2.0**-p, f**p * r ** (d - 1)))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        val, check = rule(_GAUSS_NODES), rule(2 * _GAUSS_NODES)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            val, check = rule(_GAUSS_NODES), rule(2 * _GAUSS_NODES)
+    except ValueError as exc:  # roots_jacobi overflows above p ~ 1e154
+        raise NumericalError(f"radial Bessel integral I_{d}({p}) did not reach tolerance "
+                             f"(no Gauss-Jacobi rule: {exc})") from exc
     if not (math.isfinite(val) and val > 0) or abs(val - check) > _GAUSS_RTOL * val:
         raise NumericalError(
             f"radial Bessel integral I_{d}({p}) did not reach tolerance "

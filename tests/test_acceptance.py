@@ -195,7 +195,7 @@ def test_criterion_6_magnetic_suite(magnetic_h64, square_ground_state_h64):
     # the full inequality battery at discrete slack
     lam1, lam_max = float(spec.values[0]), float(spec.values[-1])
     lambdas = np.linspace(1.2 * lam1, 0.98 * lam_max, 5)
-    ok &= spec.measure == dom.measure and spec.h == h
+    ok &= spec.measure == dom.n * dom.h**2 and spec.h == h
     checks = _all_bound_checks(spec, lambdas, [1, 2, 5, 10, 19])
     ok &= _all_hold(checks, lambda s: ms.discrete_slack(h, s))
     _report(6, "magnetic suite: gauge 1e-9, diamagnetic, bounds at 10*h^2", ok)

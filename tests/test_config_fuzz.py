@@ -6,6 +6,10 @@ runs the result through ``cli.main``, which must return 0-3 and raise
 nothing, and return 1 (a violation) only when the report's ``overall_pass``
 is false.  A config that still holds an added key must be refused (exit 2):
 every block refuses a key it does not read.
+
+The arguments of ``constants`` are fuzzed too: any dimension near the
+supported range and any float exponent end in 0 or 3 where both are valid,
+and in 2 otherwise.
 """
 
 import copy
@@ -108,3 +112,12 @@ def _run(command: str, config: dict) -> None:
 @example(("verify", {**CONFIGS[0], "unknown": None}))
 def test_mutated_config_ends_in_an_exit_code(case):
     _run(*case)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(-3, 14), st.floats())
+@example(2, 1e200)
+def test_constants_arguments_end_in_an_exit_code(d, p):
+    # the "=" form: argparse reads "--p -1e+16" as an option
+    code = cli.main(["constants", f"--dim={d}", f"--p={p!r}"])
+    assert code in ((0, 3) if 2 <= d <= 10 and 0 < p < float("inf") else (2,))

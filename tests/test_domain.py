@@ -13,7 +13,7 @@ class TestBuildDomain:
     def test_unit_square_node_count(self):
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 64)
         assert dom.n == 63 * 63 == 3969
-        assert dom.measure == pytest.approx(3969 / 4096)
+        assert dom.n * dom.h**2 == pytest.approx(3969 / 4096)
 
     def test_empty_interior_raises(self):
         with pytest.raises(ValueError):
@@ -27,17 +27,17 @@ class TestBuildDomain:
         errs = []
         for h in (1 / 16, 1 / 32, 1 / 64):
             dom = ms.build_domain(ms.Disk(1.0), h)
-            errs.append(abs(dom.measure - math.pi))
+            errs.append(abs(dom.n * dom.h**2 - math.pi))
         assert errs[-1] <= 0.05 * math.pi
         assert errs[0] > errs[2]
 
     def test_lshape_measure(self):
         dom = ms.build_domain(ms.LShape(1.0, 1.0, 0.5), 1 / 64)
-        assert dom.measure == pytest.approx(0.75, abs=0.05)
+        assert dom.n * dom.h**2 == pytest.approx(0.75, abs=0.05)
 
     def test_annulus_measure(self):
         dom = ms.build_domain(ms.Annulus(0.5, 1.0), 1 / 64)
-        assert dom.measure == pytest.approx(math.pi * 0.75, abs=0.15)
+        assert dom.n * dom.h**2 == pytest.approx(math.pi * 0.75, abs=0.15)
 
     def test_interior_nodes_strictly_inside(self):
         dom = ms.build_domain(ms.Disk(1.0), 1 / 32)
@@ -56,7 +56,7 @@ class TestBuildDomain:
         p.write_text("\n".join(rows) + "\n")
         dom = ms.build_domain(ms.MaskFile(str(p)), 0.5)
         assert dom.n == 3
-        assert dom.measure == pytest.approx(3 * 0.25)
+        assert dom.n * dom.h**2 == pytest.approx(3 * 0.25)
 
     def test_mask_file_border_rejected(self, tmp_path):
         p = tmp_path / "mask.csv"
@@ -158,13 +158,6 @@ class TestPotentials:
         assert vals.shape == (dom.n,)
         # node (0.25, 0.5) is column 1, row 2
         assert vals[dom.index[1, 2]] == arr[2, 1]
-
-    def test_grid_file_negative_rejected(self, tmp_path):
-        dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 0.25)
-        p = tmp_path / "pot.csv"
-        np.savetxt(p, -np.ones((5, 5)), delimiter=",")
-        with pytest.raises(InputDataError):
-            ms.PotentialSpec.grid_file(str(p)).sample_on(dom)
 
     def test_grid_file_shape_mismatch_rejected(self, tmp_path):
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 0.25)

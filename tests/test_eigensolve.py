@@ -89,6 +89,16 @@ class TestLowestEigenpairs:
         with pytest.raises(ValueError):
             ms.lowest_eigenpairs(op, 2, tol=1e-2)
 
+    def test_nan_residual_fails_the_gate(self):
+        # an infinite diagonal entry, which assemble refuses, leaves NaN residuals;
+        # "res > tol" is False for NaN, so the gate once passed them
+        dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 8)
+        op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+        mat = op.matrix.copy()
+        mat[dom.n // 2, dom.n // 2] = np.inf
+        with pytest.raises(ms.NumericalError, match="residual nan"):
+            ms.lowest_eigenpairs(ms.MagneticOperator(matrix=mat, h=op.h, colour=op.colour), 4)
+
     def test_real_and_complex_arithmetic_agree(self, small_square_op):
         # a gauge shift makes the B = 0 matrix complex without changing its spectrum
         _, op = small_square_op
@@ -184,7 +194,7 @@ class TestSpectrumType:
         spec, vectors = ms.lowest_eigenpairs(op, 3)
         assert spec.residuals.shape == (3,)
         for v, lam, res in zip(vectors, spec.values, spec.residuals):
-            assert res == np.linalg.norm(op.apply(v) - lam * v) / (np.linalg.norm(v) * lam)
+            assert res == np.linalg.norm(op.matrix @ v - lam * v) / (np.linalg.norm(v) * lam)
         assert ms.box_spectrum([1.0, 1.0], 3).residuals.shape == (0,)
 
     def test_rejects_unsorted(self):

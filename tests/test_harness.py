@@ -590,11 +590,19 @@ class TestCli:
         assert capsys.readouterr().out == out_path.read_text()
 
     @pytest.mark.parametrize("dim, p", [("8", "200"), ("9", "150"), ("5", "540"), ("10", "250"),
-                                        ("4", "1100")])
+                                        ("4", "1100"), ("2", "1e200")])
     def test_constants_underflow_exit_three(self, capsys, dim, p):
-        # I_d(p) underflows (or the rule's weights overflow): a typed numerical
-        # failure, not C_d(p) = 0 and not an OverflowError
+        # I_d(p) underflows, the rule's weights overflow, or above p ~ 1e154 scipy
+        # cannot build the rule at all: a typed numerical failure, not C_d(p) = 0,
+        # not an OverflowError and not scipy's ValueError (exit 2)
         assert cli.main(["constants", "--dim", dim, "--p", p]) == 3
+        assert "did not reach tolerance" in capsys.readouterr().err
+
+    def test_huge_chiti_exponent_exit_three(self, tmp_path, capsys):
+        # the eigenfunction block's p reaches the same rule, after the solve
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(grid_config(h=0.125, k=4, eigenfunction={"p": 1e200})))
+        assert cli.main(["verify", "--config", str(cfg_path)]) == 3
         assert "did not reach tolerance" in capsys.readouterr().err
 
     @pytest.mark.parametrize("p", ["inf", "nan", "0", "-1"])
@@ -783,6 +791,12 @@ class TestCli:
         (grid_config(spectrum={**grid_config()["spectrum"],
                                "potential": {"kind": "radial_quadratic", "a": 1e200}}),
          "'potential.a'"),
+        # the centre is not bounded: a * |x - center|^2 overflowed, and the infinite
+        # diagonal ended in ARPACK's "Starting vector is zero", a traceback with exit 1
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "potential": {"kind": "radial_quadratic", "a": 1.0,
+                                             "center": [1e200, 0.0]}}),
+         "potential is not finite and non-negative"),
         # refused by the eigensolver only, after the grid was built
         (grid_config(spectrum={**grid_config()["spectrum"], "solver": {"k": 6, "tol": 1e-3}}),
          "'solver.tol' must be a number in [1e-12, 1e-4]"),
@@ -807,7 +821,7 @@ class TestCli:
             "shape-number", "box-lengths-huge", "reference-box-lengths-huge", "box5-lengths-tiny",
             "disk-radius-huge", "reference-disk-radius-tiny", "h-tiny", "rectangle-a-tiny",
             "grid-disk-radius-tiny", "constant-c-negative", "quadratic-a-negative",
-            "constant-c-huge", "quadratic-a-huge", "tol-wide", "box-eigenfunction",
+            "constant-c-huge", "quadratic-a-huge", "center-far", "tol-wide", "box-eigenfunction",
             "disk-eigenfunction"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, command, config, message):
         cfg_path = tmp_path / "cfg.json"
