@@ -26,16 +26,16 @@ def main():
     h = 1 / 64
     spec = grid_spectrum(ms.Rectangle(1.0, 1.0), h)
     lam = float(spec.values[0])
-    profile = ms.decreasing_rearrangement(spec.ground_state, h)
+    s_grid, u_values = ms.decreasing_rearrangement(spec.ground_state, h)
     z0 = ms.z_profile(lam, 2, 0.0)
-    scale = z0 / profile.u_values[0]
+    scale = z0 / u_values[0]
 
     print(f"unit square ground state: lambda_1 = {lam:.5f} (exact 2 pi^2 = {2 * np.pi**2:.5f})")
     print(f"\n{'s':>8} {'u*(s) scaled':>14} {'z(s)':>10} {'gap':>10}")
     for frac in (0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8):
-        i = int(frac * profile.s_grid.size)
-        s = profile.s_grid[i]
-        u = scale * profile.u_values[i]
+        i = int(frac * s_grid.size)
+        s = s_grid[i]
+        u = scale * u_values[i]
         z = float(ms.z_profile(lam, 2, np.sqrt(s / np.pi)))
         print(f"{s:>8.3f} {u:>14.5f} {z:>10.5f} {u - z:>+10.5f}")
     print("(non-negative gap = the rearranged state dominates the ball profile)")

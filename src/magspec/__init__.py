@@ -32,7 +32,6 @@ from .domain import (
 from .eigensolve import Spectrum, lowest_eigenpairs
 from .eigfn import (
     NormReport,
-    RearrangementProfile,
     chiti_check,
     comparison_check,
     decreasing_rearrangement,
@@ -44,6 +43,6 @@ from .eigfn import (
 from .errors import InputDataError, NumericalError, TruncationError
 from .harness import convergence_study, run_scenario
 from .operator import MagneticOperator, assemble, gauge_shift
-from .specfun import ConstantsTable, bessel_j, bessel_zero, constants_table, unit_ball_volume
+from .specfun import ConstantsTable, bessel_zero, constants_table, unit_ball_volume
 
 __version__ = "0.1.0"

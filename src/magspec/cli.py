@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 at least one genuine violation,
 2 configuration or usage error (an --out that cannot be written is one, found
-before any solve), 3 numerical failure.
+before any solve), 3 numerical failure, which includes any other ValueError.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ def _load_config(path: str) -> dict:
         return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise InputDataError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bytes that are no text, an integer of too many digits
+        raise InputDataError(str(exc)) from exc
 
 
 def _cmd_constants(args) -> int:
@@ -132,11 +134,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputDataError, ValueError) as exc:
+    except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ValueError as exc:  # raised inside a computation, not by the input
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

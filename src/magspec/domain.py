@@ -119,15 +119,29 @@ class GridDomain:
         return self.points.shape[0]
 
 
+#: Most nodes a grid may have: the bounding box of a shape, or the rows x columns
+#: of a mask or potential file.  A magnetic-grid pass peaks at 207 MB with 65025
+#: nodes, about 3.2 kB a node, so a grid at the limit needs about 3.2 GB.
+MAX_GRID_NODES = 10**6
+
+
 def _load_csv_array(path: str) -> np.ndarray:
+    """A CSV grid file as an array, refused once it holds more than MAX_GRID_NODES values."""
     p = Path(path)
     if not p.is_file():
         raise InputDataError(f"file not found: {path}")
-    rows = []
-    with p.open(newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
+    rows, count = [], 0
+    try:
+        with p.open(newline="") as fh:
+            for row in filter(None, csv.reader(fh)):
+                count += len(row)
+                if count > MAX_GRID_NODES:
+                    break
                 rows.append([float(c) for c in row])
+    except ValueError as exc:  # a cell that is no number, or bytes that are no text
+        raise InputDataError(str(exc)) from exc
+    if count > MAX_GRID_NODES:
+        raise InputDataError(f"CSV grid {path} holds more than {MAX_GRID_NODES} values")
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise InputDataError(f"ragged or empty CSV grid: {path}")
     return np.asarray(rows, dtype=float)
@@ -159,7 +173,7 @@ def build_domain(shape: Shape, h: float) -> GridDomain:
 
     n = int(mask.sum())
     if n == 0:
-        raise ValueError(f"no interior node for {shape!r} at spacing h={h}")
+        raise InputDataError(f"no interior node for {shape!r} at spacing h={h}")
 
     index = -np.ones(mask.shape, dtype=np.int64)
     ii, jj = np.nonzero(mask)

@@ -36,7 +36,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NumericalError
+from .errors import InputDataError, NumericalError
 from .operator import MagneticOperator
 
 __all__ = ["Spectrum", "lowest_eigenpairs"]
@@ -169,9 +169,9 @@ def _count_below(split: _Split, sigma: float) -> int:
     return int(np.count_nonzero(split.d_other < sigma) + np.count_nonzero(lu.U.diagonal().real < 0))
 
 
-def _shift_invert(a: sp.spmatrix, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs of a Hermitian positive-definite matrix, sorted."""
-    maxiter = 50 * k
+def _shift_invert(a: sp.spmatrix, k: int, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """k smallest eigenpairs of a Hermitian positive-definite matrix, sorted; None
+    when ARPACK does not converge, as on a cluster too tight to split at this k."""
     lu = _factor(a)
     try:
         vals, vecs = spla.eigsh(
@@ -182,25 +182,24 @@ def _shift_invert(a: sp.spmatrix, k: int, tol: float) -> tuple[np.ndarray, np.nd
             OPinv=spla.LinearOperator(a.shape, matvec=lu.solve, dtype=a.dtype),
             v0=_start_vector(a.shape[0]),
             tol=tol,
-            maxiter=maxiter,
+            maxiter=50 * k,
         )
-    except spla.ArpackNoConvergence as exc:
-        raise NumericalError(
-            f"eigensolver converged only {len(exc.eigenvalues)} of {k} "
-            f"eigenvalues within {maxiter} iterations"
-        ) from exc
+    except spla.ArpackNoConvergence:
+        return None
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
 
 def _solve_sparse(op: MagneticOperator, split: _Split, k: int, tol: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """k lowest eigenvalues of H and Ritz vectors on the rows solved for: the kept
-    class when the half-size solve runs (see _Split.lift), else all n rows."""
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
+    """k lowest eigenvalues of H and Ritz vectors on the rows solved for (the kept class
+    on the half-size path, see _Split.lift, else all n), or None if ARPACK does not converge."""
     alpha = split.alpha
     # ARPACK needs k < n - 1 on the kept class too
     if alpha is not None and k < split.kept.size - 1:
-        s, xb = _shift_invert(split.complement(0.0), k, tol)
+        if (half := _shift_invert(split.complement(0.0), k, tol)) is None:
+            return None
+        s, xb = half
         # lambda < alpha / 2, i.e. s < 3 alpha / 4: then ||B|| / (alpha - lambda) < 2
         if s[-1] < 0.75 * alpha:
             return alpha * s / (alpha + np.sqrt(alpha * (alpha - s))), xb
@@ -213,22 +212,23 @@ def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10
     h^2-normalized eigenvectors as the rows of a k x n array."""
     k = int(k)
     if k < 1 or k > op.n:
-        raise ValueError(f"need 1 <= k <= n = {op.n}, got k = {k}")
+        raise InputDataError(f"need 1 <= k <= n = {op.n}, got k = {k}")
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError(f"tolerance must lie in [1e-12, 1e-4], got {tol}")
 
-    # widen m until the inertia count below the k-th cluster agrees; ARPACK needs m < n - 1
+    # widen m until ARPACK converges and the count below the k-th cluster agrees; m < n - 1
     m, split = k, _split(op)
     while m < op.n - 1:
-        vals, vecs = _solve_sparse(op, split, m, tol)
-        sigma = vals[k - 1] * (1 - DEGENERACY_RTOL)
-        found = int(np.count_nonzero(vals < sigma))
-        inertia = _count_below(split, sigma)
-        if inertia == found:
-            break
-        if inertia < found:
-            raise NumericalError(f"{found} computed eigenvalues below {sigma:.12g} "
-                                 f"but the inertia count is {inertia}")
+        if (pairs := _solve_sparse(op, split, m, tol)) is not None:
+            vals, vecs = pairs
+            sigma = vals[k - 1] * (1 - DEGENERACY_RTOL)
+            found = int(np.count_nonzero(vals < sigma))
+            inertia = _count_below(split, sigma)
+            if inertia == found:
+                break
+            if inertia < found:
+                raise NumericalError(f"{found} computed eigenvalues below {sigma:.12g} "
+                                     f"but the inertia count is {inertia}")
         m *= 2
     else:
         vals, vecs = _solve_dense(op, k)

@@ -15,15 +15,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .bounds import BoundCheck, _ground_state, _make_check
 from .eigensolve import Spectrum
-from .specfun import bessel_j, bessel_zero, chiti_constant, heat_kernel_constant, \
-    radial_bessel_integral, sphere_area, unit_ball_volume
+from .specfun import bessel_zero, chiti_constant, heat_kernel_constant, radial_bessel_integral, \
+    sphere_area, unit_ball_volume
 
 __all__ = [
     "NormReport",
-    "RearrangementProfile",
     "norms",
     "decreasing_rearrangement",
     "z_profile",
@@ -41,21 +41,6 @@ class NormReport:
     l2_normalized: bool
 
 
-@dataclass(frozen=True)
-class RearrangementProfile:
-    """Non-increasing profile u(s) of |omega| over the set-measure coordinate s.
-
-    u_values[i] is the value on the cell (s_grid[i] - cell_area, s_grid[i]].
-    """
-
-    s_grid: np.ndarray
-    u_values: np.ndarray
-
-    @property
-    def cell_area(self) -> float:
-        return float(self.s_grid[0])
-
-
 def norms(omega: np.ndarray, h: float, p_list=(1.0, 2.0)) -> NormReport:
     """Sup norm and discrete L_p norms with cell weight h^2."""
     omega = np.asarray(omega)
@@ -71,11 +56,11 @@ def norms(omega: np.ndarray, h: float, p_list=(1.0, 2.0)) -> NormReport:
     return NormReport(sup_norm=sup, lp=lp, l2_normalized=abs(l2 - 1.0) <= 1e-8)
 
 
-def decreasing_rearrangement(omega: np.ndarray, h: float) -> RearrangementProfile:
-    """Sort |omega| in decreasing order over cumulative cell areas."""
-    mod = np.sort(np.abs(np.asarray(omega)))[::-1]
-    s = h**2 * np.arange(1, mod.size + 1)
-    return RearrangementProfile(s_grid=s, u_values=mod.astype(float))
+def decreasing_rearrangement(omega: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The non-increasing profile u of |omega| over the set-measure coordinate s,
+    as arrays (s, u): u[i] is the value on the cell (s[i] - h^2, s[i]]."""
+    u = np.sort(np.abs(np.asarray(omega)))[::-1]
+    return h**2 * np.arange(1, u.size + 1), u.astype(float)
 
 
 def z_profile(lam: float, d: int, r) -> np.ndarray | float:
@@ -93,7 +78,7 @@ def z_profile(lam: float, d: int, r) -> np.ndarray | float:
     out = np.zeros_like(r)
     inside = r < r_ball
     pos = inside & (r > 0)
-    out[pos] = r[pos] ** -nu * bessel_j(nu, math.sqrt(lam) * r[pos])
+    out[pos] = r[pos] ** -nu * special.jv(nu, math.sqrt(lam) * r[pos])
     # r -> 0 limit of r^-nu J_nu(sqrt(lam) r)
     out[inside & (r == 0)] = lam ** (nu / 2) * 2.0**-nu / math.gamma(d / 2)
     return float(out[0]) if scalar else out
@@ -145,13 +130,12 @@ def comparison_check(spec: Spectrum) -> list[BoundCheck]:
     inclusion = _make_check("ball-inclusion", ball_measure, measure, inclusion_slack,
                             {"lambda": lam, "d": d, "h": h})
 
-    profile = decreasing_rearrangement(omega, h)
+    s, u = decreasing_rearrangement(omega, h)
     z0 = float(z_profile(lam, d, 0.0))
-    scale = z0 / profile.u_values[0]
-    s = profile.s_grid
+    scale = z0 / u[0]
     in_ball = s <= ball_measure
     v_vals = z_profile(lam, d, (s[in_ball] / v_d) ** (1.0 / d))
-    gap = scale * profile.u_values[in_ball] - v_vals
+    gap = scale * u[in_ball] - v_vals
     min_margin = float(gap.min()) if gap.size else 0.0
     slack = DOMINATION_RTOL * z0
     domination = _make_check("profile-domination", -min_margin, 0.0, slack,
@@ -172,8 +156,8 @@ def rearrangement_ode_check(spec: Spectrum) -> BoundCheck:
     is a flagged diagnostic, not a hard gate.
     """
     lam, d = float(spec.values[0]), spec.d
-    profile = decreasing_rearrangement(_ground_state(spec), spec.h)
-    s, u, n = profile.s_grid, profile.u_values, profile.s_grid.size
+    s, u = decreasing_rearrangement(_ground_state(spec), spec.h)
+    n = s.size
     ctx = {"lambda": lam, "d": d, "nodes": int(n)}
     if n < 10:
         return _make_check("rearrangement-slope", math.nan, math.nan, 0.0,
@@ -185,7 +169,7 @@ def rearrangement_ode_check(spec: Spectrum) -> BoundCheck:
                            {**ctx, "note": "profile does not decay; not an eigenfunction"},
                            applicable=False, diagnostic=True)
     v_d = unit_ball_volume(d)
-    cell = profile.cell_area
+    cell = float(s[0])
     window = max(1, n // 100)
     slack_rtol = max(1e-6, 40.0 * math.sqrt(cell))
 

@@ -23,8 +23,8 @@ import numpy as np
 import orjson
 
 from . import analytic, bounds, eigfn
-from .domain import Annulus, Disk, GaugeSpec, LShape, MaskFile, PotentialSpec, Rectangle, \
-    Shape, build_domain
+from .domain import MAX_GRID_NODES, Annulus, Disk, GaugeSpec, LShape, MaskFile, PotentialSpec, \
+    Rectangle, Shape, build_domain
 from .eigensolve import Spectrum, _degeneracy_flags, lowest_eigenpairs
 from .errors import InputDataError, NumericalError, TruncationError
 from .operator import assemble
@@ -95,6 +95,8 @@ _NUMBERS = {
     # a box length or disk radius: (pi / L)^2, L^2 and the product of up to
     # five lengths then stay normal floats
     "length": (lambda x: 1e-50 <= x <= 1e50, "a number in [1e-50, 1e50]"),
+    # a point, such as a potential's center: then 0 * |x - center|^2 is 0
+    "coordinate": (lambda x: abs(x) <= 1e50, "a number in [-1e50, 1e50]"),
     # a potential's c or a: for c the residual ||H v - lambda v|| <= 2 (8 / h^2 + c) / h
     # of a unit (h^2-weighted) v stays below 2e151 at every h >= 1e-50, far from 1e154,
     # where the square in its norm overflows (as at c = 1e200)
@@ -204,7 +206,8 @@ _POTENTIAL = {"kind": (_Choice(
     zero=(PotentialSpec.zero, {}),
     constant=(PotentialSpec.constant, {"c": ("coefficient", ...)}),
     radial_quadratic=(PotentialSpec.radial_quadratic,
-                      {"a": ("coefficient", ...), "center": (("real", range(2, 3)), [0.0, 0.0])}),
+                      {"a": ("coefficient", ...),
+                       "center": (("coordinate", range(2, 3)), [0.0, 0.0])}),
     grid_file=(PotentialSpec.grid_file, {"path": ("str", ...)})), "zero")}
 _GRID = {"domain": (_DOMAIN, ...), "gauge": (_GAUGE, {}), "potential": (_POTENTIAL, {}),
          "solver": ({"k": ("count", 10), "tol": ("tolerance", 1e-10)}, {})}
@@ -227,12 +230,6 @@ _CONFIG = {"name": ("str", None), "spectrum": (_SPECTRUM, ...), "checks": ([_CHE
            "eigenfunction": (_EIGENFUNCTION, None), "reference": (_REFERENCE, None)}
 
 
-#: Most nodes the bounding box of a grid may have.  A magnetic-grid pass peaks
-#: at 207 MB with 65025 nodes, about 3.2 kB a node, so a grid at the limit
-#: needs about 3.2 GB.
-MAX_GRID_NODES = 10**6
-
-
 def _check(entry: dict, spectrum: Exact | Grid) -> tuple[str, tuple, tuple]:
     """A read check entry, with its lambda indices checked against the spectrum's length."""
     name, keys = entry["name"], [key for key in entry if key != "name"]
@@ -244,8 +241,8 @@ def _check(entry: dict, spectrum: Exact | Grid) -> tuple[str, tuple, tuple]:
                              f"{' or '.join(map(repr, keys))}")
     length = spectrum.count if isinstance(spectrum, Exact) else spectrum.k
     if indices and max(indices) > length:
-        raise TruncationError(f"lambda index {max(indices)} exceeds computed spectrum "
-                              f"length {length}")
+        raise InputDataError(f"lambda index {max(indices)} exceeds computed spectrum "
+                             f"length {length}")
     return name, values, indices
 
 
@@ -253,7 +250,7 @@ def parse_config(config: dict, levels: int = 1) -> Scenario:
     """Read, check and convert every key of a config once, or name a malformed one.
     A grid is refused when its finest level h / 2^(levels - 1) of ``levels``
     convergence levels has more than MAX_GRID_NODES bounding-box nodes (a mask
-    file's grid is its file's)."""
+    file is limited when it is read)."""
     top = _read(config, "", _CONFIG)
     spectrum, reference = top["spectrum"]["type"], top["reference"]
     if isinstance(spectrum, Grid) and not isinstance(spectrum.shape, MaskFile):
@@ -299,9 +296,7 @@ def _run_checks(checks: list, spec: Spectrum) -> tuple[list, list]:
 def _run_eigenfunction(eig: dict | None, spec: Spectrum) -> tuple[dict, list]:
     if eig is None:
         return {}, []
-    rep = eigfn.norms(spec.ground_state, spec.h, p_list=(1.0, 2.0))
-    out = {"norms": {"sup_norm": rep.sup_norm, "lp": {str(p): v for p, v in rep.lp.items()},
-                     "l2_normalized": rep.l2_normalized},
+    out = {"norms": eigfn.norms(spec.ground_state, spec.h, p_list=(1.0, 2.0)),
            "ground_state_degenerate": bool(_degeneracy_flags(spec.values[:2])[0])}
     checks = []
     if eig["chiti"]:
@@ -528,7 +523,10 @@ def _files(path: str | Path | None) -> tuple[Path, Path] | None:
     exists but is no regular file, which is written directly."""
     if path is None or Path(path).exists() and not Path(path).is_file():
         return None
-    target = Path(path).resolve()
+    try:
+        target = Path(path).resolve()
+    except ValueError as exc:  # a NUL byte in the path
+        raise InputDataError(str(exc)) from exc
     return target, target.with_name(f".{target.name}.{os.getpid()}.tmp")
 
 

@@ -6,8 +6,9 @@ All constants are expressed through the Bessel function of order
 orders nu0, nu0 + 1, ... with nu0 = 0 or 1/2: one table filled by the forward
 three-term recurrence brackets them, one vectorized Newton iteration refines
 all of them, and a closing Newton step through ``special.jv`` checks them.
-:func:`bessel_zeros` and :func:`bessel_zero` are views of it.  Supported
-orders are the integers and half-integers in [0, MAX_ORDER].
+:func:`bessel_zero` is a view of it.  Supported orders are the integers and
+half-integers in [0, MAX_ORDER].  J_nu itself is ``special.jv`` wherever it
+is evaluated.
 
 H_d, C_d(p) and the heat-kernel constant are each one cached function, which
 the checks read and :func:`constants_table` collects.
@@ -28,17 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import NumericalError
+from .errors import InputDataError, NumericalError
 
 __all__ = [
     "MAX_ORDER",
     "MIN_DIM",
     "MAX_DIM",
     "ConstantsTable",
-    "bessel_j",
     "bessel_zero",
     "bessel_zero_ladder",
-    "bessel_zeros",
     "radial_bessel_integral",
     "unit_ball_volume",
     "sphere_area",
@@ -75,24 +74,6 @@ def _check_order(order: float) -> float:
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds the supported maximum {MAX_ORDER}")
     return order
-
-
-def bessel_j(order: float, x):
-    """Evaluate J_order at x >= 0 (scalar or array).
-
-    Orders are restricted to the integer/half-integer grid up to
-    :data:`MAX_ORDER`; values are accurate to about 1e-12 absolute on [0, 50].
-    """
-    order = _check_order(order)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("argument of bessel_j must be finite")
-    if np.any(x < 0):
-        raise ValueError("argument of bessel_j must be non-negative")
-    out = special.jv(order, x)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def _seeds(nu0: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,11 +151,6 @@ def bessel_zero_ladder(low: float, high: float, x_max: float) -> list[np.ndarray
     return np.split(x[keep], np.searchsorted(k[keep], np.arange(first + 1, top + 1)))
 
 
-def bessel_zeros(order: float, x_max: float) -> np.ndarray:
-    """Every positive zero of J_order up to x_max, ascending, accurate to better than 1e-10."""
-    return bessel_zero_ladder(order, order, x_max)[0]
-
-
 @functools.lru_cache(maxsize=None)
 def bessel_zero(order: float, m: int) -> float:
     """m-th positive zero of J_order, accurate to better than 1e-10; cached per (order, m)."""
@@ -183,7 +159,7 @@ def bessel_zero(order: float, m: int) -> float:
     if m < 1:
         raise ValueError(f"zero index must be >= 1, got {m}")
     x_max = order + math.pi * m
-    while (zeros := bessel_zeros(order, x_max)).size < m:
+    while (zeros := bessel_zero_ladder(order, order, x_max)[0]).size < m:
         x_max *= 2
     return float(zeros[m - 1])
 
@@ -260,7 +236,7 @@ def radial_bessel_integral(d: int, p: float) -> float:
 def _dimension(d: int) -> int:
     d = int(d)
     if not MIN_DIM <= d <= MAX_DIM:
-        raise ValueError(f"dimension must be in [{MIN_DIM}, {MAX_DIM}], got {d}")
+        raise InputDataError(f"dimension must be in [{MIN_DIM}, {MAX_DIM}], got {d}")
     return d
 
 
@@ -269,7 +245,7 @@ def ratio_constant(d: int) -> float:
     """H_d = 2d / (j1^2 J_{d/2}(j1)^2), j1 the first zero of J_{(d-2)/2}; cached per d."""
     d = _dimension(d)
     j1 = bessel_zero((d - 2) / 2.0, 1)
-    return 2.0 * d / (j1**2 * bessel_j(d / 2.0, j1) ** 2)
+    return 2.0 * d / (j1**2 * float(special.jv(d / 2.0, j1)) ** 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,7 +253,7 @@ def chiti_constant(d: int, p: float) -> float:
     """The sharp sup-norm constant C_d(p) = (2^(p nu) Gamma(d/2)^p |S^(d-1)| I_d(p))^(-1/p),
     nu = (d-2)/2, with the p-th powers taken out of the root against overflow; cached per (d, p)."""
     if not 0 < float(p) < math.inf:
-        raise ValueError(f"Chiti exponent p must be a finite positive number, got {p}")
+        raise InputDataError(f"Chiti exponent p must be a finite positive number, got {p}")
     d, p = _dimension(d), float(p)
     nu = (d - 2) / 2.0
     root = (sphere_area(d) * radial_bessel_integral(d, p)) ** (-1.0 / p)
@@ -295,7 +271,7 @@ def constants_table(d: int, p_list: tuple[float, ...] | list[float] = (1.0, 2.0)
     """The constants table for dimension d (2 <= d <= 10), C_d(p) for each p in p_list."""
     d = _dimension(d)
     j1 = bessel_zero((d - 2) / 2.0, 1)
-    jd2 = bessel_j(d / 2.0, j1)
+    jd2 = float(special.jv(d / 2.0, j1))
     chiti_closed = (math.pi ** (d / 2) * 2.0 ** (d - 2) * math.gamma(d / 2) * j1**2 * jd2**2) ** -0.5
     return ConstantsTable(
         d=d,

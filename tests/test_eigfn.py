@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import magspec as ms
 from magspec import eigfn
@@ -40,12 +41,12 @@ class TestNorms:
 class TestRearrangement:
     def test_sorted_and_equimeasurable(self):
         v = np.array([1.0, -3.0, 2.0, 0.5])
-        prof = ms.decreasing_rearrangement(v, h=0.5)
-        assert np.array_equal(prof.u_values, [3.0, 2.0, 1.0, 0.5])
-        assert prof.cell_area == pytest.approx(0.25)
+        s, u = ms.decreasing_rearrangement(v, h=0.5)
+        assert np.array_equal(u, [3.0, 2.0, 1.0, 0.5])
+        assert s[0] == pytest.approx(0.25)
         # distribution functions of v and its rearrangement agree at any level
         for t in (0.0, 0.7, 1.5, 2.5):
-            assert np.count_nonzero(np.abs(v) > t) == np.count_nonzero(prof.u_values > t)
+            assert np.count_nonzero(np.abs(v) > t) == np.count_nonzero(u > t)
 
 
 class TestZProfile:
@@ -63,7 +64,7 @@ class TestZProfile:
         lam = 2.0
         r = 0.3
         assert ms.z_profile(lam, 2, r) == pytest.approx(
-            ms.bessel_j(0.0, math.sqrt(lam) * r), rel=1e-14)
+            special.jv(0.0, math.sqrt(lam) * r), rel=1e-14)
 
     def test_three_dimensional_origin_limit(self):
         # nu = 1/2: limit is lam^{1/4} 2^{-1/2} / Gamma(3/2)
@@ -80,7 +81,7 @@ class TestZNorm:
         # d = 2: ||z||_2^2 = pi j_{0,1}^2 J_1(j_{0,1})^2 / lam
         lam = 7.0
         j01 = ms.bessel_zero(0.0, 1)
-        expected = math.sqrt(math.pi / lam) * j01 * abs(ms.bessel_j(1.0, j01))
+        expected = math.sqrt(math.pi / lam) * j01 * abs(special.jv(1.0, j01))
         assert ms.z_lp_norm(lam, 2, 2.0) == pytest.approx(expected, rel=1e-10)
 
     def test_scaling_in_lambda(self):

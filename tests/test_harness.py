@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magspec as ms
-from magspec import bounds, cli, harness
+from magspec import bounds, cli, domain, eigensolve, harness
 from magspec.eigensolve import _degeneracy_flags
 
 
@@ -605,10 +605,79 @@ class TestCli:
         assert cli.main(["verify", "--config", str(cfg_path)]) == 3
         assert "did not reach tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "convergence"])
+    def test_value_error_inside_a_solve_exit_three(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        # only an InputDataError is a configuration error; a ValueError from inside
+        # numpy or scipy is a numerical failure, named by its type
+        def solve(*args):
+            raise ValueError("raised inside the solve")
+
+        monkeypatch.setattr(eigensolve, "_shift_invert", solve)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(grid_config(h=0.125, k=4)))
+        argv = [command, "--config", str(cfg_path)]
+        assert cli.main(argv + (["--levels", "2"] if command == "convergence" else [])) == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: ValueError: raised inside the solve\n"
+
+    def test_config_that_is_no_text_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"name": "\xff"}')
+        assert cli.main(["verify", "--config", str(cfg_path)]) == 2
+        assert "'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", ["domain", "potential"])
+    def test_csv_grid_beyond_the_node_limit_exit_two(self, tmp_path, capsys, monkeypatch,
+                                                     block):
+        # a 5 x 5 mask or potential grid is 25 values; the cell after the limit is never read
+        monkeypatch.setattr(domain, "MAX_GRID_NODES", 24)
+        grid = tmp_path / "grid.csv"
+        grid.write_text("0,0,0,0,0\n" + "0,1,1,1,0\n" * 3 + "0,0,0,0,x\n")
+        spectrum = {"type": "grid", "solver": {"k": 2}, **(
+            {"domain": {"shape": "mask_file", "path": str(grid), "h": 0.25}} if block == "domain"
+            else {"domain": {"shape": "rectangle", "a": 1.0, "b": 1.0, "h": 0.25},
+                  "potential": {"kind": "grid_file", "path": str(grid)}})}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"spectrum": spectrum}))
+        assert cli.main(["spectrum", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: CSV grid {grid} holds more than 24 values\n"
+
+    def test_csv_grid_cell_that_is_no_number_exit_two(self, tmp_path, capsys):
+        mask = tmp_path / "mask.csv"
+        mask.write_text("0,0,0\n0,1,0\n0,0,x\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"spectrum": {
+            "type": "grid", "domain": {"shape": "mask_file", "path": str(mask), "h": 0.5},
+            "solver": {"k": 1}}}))
+        assert cli.main(["spectrum", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: could not convert string to float: 'x'\n"
+
+    def test_far_center_with_zero_coefficient_is_the_zero_potential(self, tmp_path, capsys):
+        # 0 * |x - center|^2 is 0 at the largest centre the reader takes
+        out = []
+        for potential in ({"kind": "radial_quadratic", "a": 0.0, "center": [1e50, -1e50]},
+                          {"kind": "zero"}):
+            spectrum = {**grid_config(h=0.125, k=4)["spectrum"], "potential": potential}
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"spectrum": spectrum}))
+            assert cli.main(["spectrum", "--config", str(cfg_path)]) == 0
+            out.append(capsys.readouterr().out)
+        assert out[0] == out[1] and len(out[0].split()) == 4
+
     @pytest.mark.parametrize("p", ["inf", "nan", "0", "-1"])
     def test_constants_bad_p_exit_two(self, capsys, p):
         assert cli.main(["constants", "--dim", "2", "--p", p]) == 2
         assert "must be a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "constants"])
+    def test_out_with_a_nul_byte_exit_two(self, tmp_path, capsys, command):
+        # the ValueError of resolving such a path is an input fault, not a numerical one
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(box_config()))
+        source = ["--dim", "2"] if command == "constants" else ["--config", str(cfg_path)]
+        assert cli.main([command, *source, "--out", str(tmp_path / "r\0.json")]) == 2
+        assert capsys.readouterr().err == "error: embedded null byte\n"
 
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     def test_unwritable_out_exit_two(self, tmp_path, capsys, monkeypatch, command):
@@ -791,12 +860,17 @@ class TestCli:
         (grid_config(spectrum={**grid_config()["spectrum"],
                                "potential": {"kind": "radial_quadratic", "a": 1e200}}),
          "'potential.a'"),
-        # the centre is not bounded: a * |x - center|^2 overflowed, and the infinite
-        # diagonal ended in ARPACK's "Starting vector is zero", a traceback with exit 1
+        # a centre beyond 1e50: a * |x - center|^2 overflowed, and the infinite diagonal
+        # ended in ARPACK's "Starting vector is zero", a traceback with exit 1; at a = 0
+        # it was 0 * inf, refused as a potential that is not finite
         (grid_config(spectrum={**grid_config()["spectrum"],
                                "potential": {"kind": "radial_quadratic", "a": 1.0,
                                              "center": [1e200, 0.0]}}),
-         "potential is not finite and non-negative"),
+         "'potential.center'"),
+        (grid_config(spectrum={**grid_config()["spectrum"],
+                               "potential": {"kind": "radial_quadratic", "a": 0.0,
+                                             "center": [1e200, 0.0]}}),
+         "'potential.center'"),
         # refused by the eigensolver only, after the grid was built
         (grid_config(spectrum={**grid_config()["spectrum"], "solver": {"k": 6, "tol": 1e-3}}),
          "'solver.tol' must be a number in [1e-12, 1e-4]"),
@@ -821,7 +895,7 @@ class TestCli:
             "shape-number", "box-lengths-huge", "reference-box-lengths-huge", "box5-lengths-tiny",
             "disk-radius-huge", "reference-disk-radius-tiny", "h-tiny", "rectangle-a-tiny",
             "grid-disk-radius-tiny", "constant-c-negative", "quadratic-a-negative",
-            "constant-c-huge", "quadratic-a-huge", "center-far", "tol-wide", "box-eigenfunction",
+            "constant-c-huge", "quadratic-a-huge", "center-far", "center-far-a-zero", "tol-wide", "box-eigenfunction",
             "disk-eigenfunction"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, command, config, message):
         cfg_path = tmp_path / "cfg.json"
