@@ -8,7 +8,8 @@ reads everything else from the spectrum: d, |Omega|, the grid spacing h and,
 for the sup-norm bound, the ground state.  It computes its own slack from the
 size of its inequality: ``discrete_slack(spec.h, scale)`` on a grid spectrum,
 which absorbs the discretization error, and ``ANALYTIC_SLACK_RTOL * |scale|``
-on an exact one (``spec.h`` None).
+on an exact one (``spec.h`` None).  ``harness.CHECKS`` maps each config check
+name to its call.
 
 Berezin--Li--Yau bounds the Riesz mean by the Weyl term,
 sum_j (lambda - lambda_j)_+ <= (2/(d+2)) v_d (2 pi)^{-d} |Omega| lambda^{1+d/2},
@@ -41,7 +42,6 @@ __all__ = [
     "check_sup_norm_riesz_lower",
     "ANALYTIC_SLACK_RTOL",
     "discrete_slack",
-    "CHECKS",
 ]
 
 #: Relative slack applied to checks on exact (analytic) spectra.
@@ -255,23 +255,3 @@ def check_sup_norm_riesz_lower(spec: Spectrum, lam: float) -> BoundCheck:
     return _make_check("ground-state-riesz-lower", lhs, rhs,
                        _slack(spec, lam ** (1 + d / 2) / sup_norm_omega**2),
                        {"lambda": lam, "d": d, "lambda_1": lam1, "sup_norm": sup_norm_omega})
-
-
-# ---------------------------------------------------------------------------
-# check registry
-
-#: Config check name -> (parameter key, check call).  The parameter key is
-#: ``ks`` or ``lambdas``, and ``run(spec, x)`` evaluates the check at
-#: parameter x.  The calls look each check function up by its module-level
-#: name when they run, so a wrapper installed on this module sees every call.
-CHECKS: dict[str, tuple] = {
-    "berezin-li-yau": ("lambdas", lambda spec, lam: check_berezin_li_yau(spec, lam)),
-    "li-yau": ("ks", lambda spec, k: check_li_yau(spec, k)),
-    "riesz-mean-lower": ("lambdas", lambda spec, lam: check_riesz_lower(spec, lam)),
-    "shifted-sum-upper": ("ks", lambda spec, k: check_shifted_sum_upper(spec, k)),
-    "ratio-bounds": ("ks", lambda spec, k: check_ratio_bounds(spec, k)),
-    "yang": ("ks", lambda spec, k: check_yang(spec, k)),
-    "yang-corollaries": ("ks", lambda spec, k: check_yang_corollaries(spec, k)),
-    "ground-state-riesz-lower": ("lambdas",
-                                 lambda spec, lam: check_sup_norm_riesz_lower(spec, lam)),
-}

@@ -74,14 +74,6 @@ class Spectrum:
         return "analytic" if self.h is None else f"discrete(h={self.h:.12g})"
 
 
-def _degeneracy_flags(values: np.ndarray) -> np.ndarray:
-    flags = np.zeros(values.size, dtype=bool)
-    close = np.diff(values) <= DEGENERACY_RTOL * values[:-1]
-    flags[:-1] |= close
-    flags[1:] |= close
-    return flags
-
-
 def _start_vector(n: int) -> np.ndarray:
     # all-ones plus a fixed aperiodic ripple, so the start is never orthogonal
     # to a symmetry sector

@@ -38,7 +38,6 @@ __all__ = [
 class NormReport:
     sup_norm: float
     lp: dict[float, float]
-    l2_normalized: bool
 
 
 def norms(omega: np.ndarray, h: float, p_list=(1.0, 2.0)) -> NormReport:
@@ -52,8 +51,7 @@ def norms(omega: np.ndarray, h: float, p_list=(1.0, 2.0)) -> NormReport:
         raise ValueError("cannot take norms of the zero vector")
     lp = {float(p): float((np.sum(mod ** float(p)) * h**2) ** (1.0 / float(p)))
           for p in p_list}
-    l2 = float(np.sqrt(np.sum(mod**2) * h**2))
-    return NormReport(sup_norm=sup, lp=lp, l2_normalized=abs(l2 - 1.0) <= 1e-8)
+    return NormReport(sup_norm=sup, lp=lp)
 
 
 def decreasing_rearrangement(omega: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

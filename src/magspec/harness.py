@@ -2,10 +2,12 @@
 
 A scenario is described by a JSON-friendly dict: a spectrum source (analytic
 box/disk, or a grid operator to solve), a list of checks with parameters, and
-optional eigenfunction analyses.  ``parse_config`` reads and checks every key
-once; later steps read only its ``Scenario``, and reports echo the raw dict.
-Reports are deterministic: re-running a scenario reproduces every field except
-the ``timing`` block.
+an optional ``eigenfunction`` block whose flags select the ground-state checks.
+``parse_config`` reads and checks every key once; later steps read only its
+``Scenario``, and reports echo the raw dict.  ``CHECKS`` is the one table of
+check calls, and ``_run_checks`` the one runner of every verdict.  Reports are
+deterministic: re-running a scenario reproduces every field except the
+``timing`` block.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ import orjson
 from . import analytic, bounds, eigfn
 from .domain import MAX_GRID_NODES, Annulus, Disk, GaugeSpec, LShape, MaskFile, PotentialSpec, \
     Rectangle, Shape, build_domain
-from .eigensolve import Spectrum, _degeneracy_flags, lowest_eigenpairs
+from .eigensolve import Spectrum, lowest_eigenpairs
 from .errors import InputDataError, NumericalError, TruncationError
 from .operator import assemble
 from .specfun import constants_table
 
 __all__ = [
+    "CHECKS",
     "parse_config",
     "build_spectrum",
     "run_scenario",
@@ -78,11 +81,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed config; each check is (name, ks or lambdas, lambda indices)."""
+    """A parsed config; each check is (name, its parameters, lambda indices)."""
 
     spectrum: Exact | Grid
     checks: list[tuple[str, tuple, tuple]]
-    eigenfunction: dict | None
     reference: Exact | None
 
 
@@ -218,12 +220,32 @@ _SPECTRUM = {"type": (_Choice(
         gauge=gauge["kind"], potential=potential["kind"], **domain, **solver), _GRID)), ...)}
 _REFERENCE = {"type": (_Choice(box=(lambda lengths: Exact("box", lengths), _BOX),
                                disk=(lambda radius: Exact("disk", radius), _DISK)), ...)}
-#: A check entry reads the key of its parameters; a lambdas check also reads lambda_indices.
-_CHECK_KEYS = {"ks": {"ks": (("count", _ANY_LENGTH), [])},
-               "lambdas": {"lambdas": (("nonnegative", _ANY_LENGTH), []),
-                           "lambda_indices": (("count", _ANY_LENGTH), [])}}
-_CHECK = {"name": (_Choice({name: (None, _CHECK_KEYS[param])
-                            for name, (param, _) in bounds.CHECKS.items()}), ...)}
+#: Check name -> (the key an error record names its parameter by, check call).
+#: The key is "k", "lambda", "p", or None for a check without a parameter, and
+#: ``run(spec, x)`` evaluates the check at parameter x (None without one).  The
+#: calls look each check function up in its module when they run, so a wrapper
+#: installed on ``bounds`` or ``eigfn`` sees every call.  A ``checks`` entry
+#: names a "k" or "lambda" check; the ``eigenfunction`` block selects the rest.
+CHECKS: dict[str, tuple] = {
+    "berezin-li-yau": ("lambda", lambda spec, lam: bounds.check_berezin_li_yau(spec, lam)),
+    "li-yau": ("k", lambda spec, k: bounds.check_li_yau(spec, k)),
+    "riesz-mean-lower": ("lambda", lambda spec, lam: bounds.check_riesz_lower(spec, lam)),
+    "shifted-sum-upper": ("k", lambda spec, k: bounds.check_shifted_sum_upper(spec, k)),
+    "ratio-bounds": ("k", lambda spec, k: bounds.check_ratio_bounds(spec, k)),
+    "yang": ("k", lambda spec, k: bounds.check_yang(spec, k)),
+    "yang-corollaries": ("k", lambda spec, k: bounds.check_yang_corollaries(spec, k)),
+    "ground-state-riesz-lower": ("lambda",
+                                 lambda spec, lam: bounds.check_sup_norm_riesz_lower(spec, lam)),
+    "chiti-sup-bound": ("p", lambda spec, p: eigfn.chiti_check(spec, p)),
+    "ball-comparison": (None, lambda spec, _: eigfn.comparison_check(spec)),
+    "rearrangement-slope": (None, lambda spec, _: eigfn.rearrangement_ode_check(spec)),
+}
+#: A check entry reads the key of its parameters; a lambda check also reads lambda_indices.
+_CHECK_KEYS = {"k": {"ks": (("count", _ANY_LENGTH), [])},
+               "lambda": {"lambdas": (("nonnegative", _ANY_LENGTH), []),
+                          "lambda_indices": (("count", _ANY_LENGTH), [])}}
+_CHECK = {"name": (_Choice({name: (None, _CHECK_KEYS[key])
+                            for name, (key, _) in CHECKS.items() if key in _CHECK_KEYS}), ...)}
 _EIGENFUNCTION = {"chiti": ("bool", True), "comparison": ("bool", True), "ode": ("bool", False),
                   "p": ("positive", 2.0)}
 _CONFIG = {"name": ("str", None), "spectrum": (_SPECTRUM, ...), "checks": ([_CHECK], []),
@@ -259,11 +281,16 @@ def parse_config(config: dict, levels: int = 1) -> Scenario:
         if not finest or ((x1 - x0) / finest + 1) * ((y1 - y0) / finest + 1) > MAX_GRID_NODES:
             raise InputDataError(f"'domain.h' gives more than {MAX_GRID_NODES} grid nodes "
                                  f"at h = {finest:.6g}")
-    if top["eigenfunction"] is not None and isinstance(spectrum, Exact):
+    eig = top["eigenfunction"]
+    if eig is not None and isinstance(spectrum, Exact):
         raise InputDataError("an 'eigenfunction' block needs a grid spectrum: a box or "
                              "disk spectrum has no computed eigenfunctions")
-    return Scenario(spectrum, [_check(entry, spectrum) for entry in top["checks"]],
-                    top["eigenfunction"], reference and reference["type"])
+    checks = [_check(entry, spectrum) for entry in top["checks"]]
+    if eig is not None:  # its flags select the ground-state checks, run after the listed ones
+        checks += [(name, values, ()) for flag, name, values in [
+            ("chiti", "chiti-sup-bound", (eig["p"],)), ("comparison", "ball-comparison", (None,)),
+            ("ode", "rearrangement-slope", (None,))] if eig[flag]]
+    return Scenario(spectrum, checks, reference and reference["type"])
 
 
 # ---------------------------------------------------------------------------
@@ -278,36 +305,20 @@ def build_spectrum(source: Exact | Grid) -> Spectrum:
 
 
 def _run_checks(checks: list, spec: Spectrum) -> tuple[list, list]:
+    """The verdicts of every parsed check on spec, in order, and an error record for
+    each evaluation that raised, naming the check and its parameter."""
     results, errors = [], []
     for name, values, indices in checks:
-        param, run = bounds.CHECKS[name]
-        key = "k" if param == "ks" else "lambda"
+        key, run = CHECKS[name]
         for x in values + tuple(float(spec.values[j - 1]) for j in indices):
             try:
                 out = run(spec, x)
             except (TruncationError, ValueError, NumericalError, OverflowError) as exc:
-                errors.append({"check": name, "error": type(exc).__name__, "message": str(exc),
-                               key: x})
+                error = {"check": name, "error": type(exc).__name__, "message": str(exc)}
+                errors.append(error if key is None else {**error, key: x})
                 continue
             results.extend(out if isinstance(out, list) else [out])
     return results, errors
-
-
-def _run_eigenfunction(eig: dict | None, spec: Spectrum) -> tuple[dict, list]:
-    if eig is None:
-        return {}, []
-    out = {"norms": eigfn.norms(spec.ground_state, spec.h, p_list=(1.0, 2.0)),
-           "ground_state_degenerate": bool(_degeneracy_flags(spec.values[:2])[0])}
-    checks = []
-    if eig["chiti"]:
-        checks.extend(eigfn.chiti_check(spec, p=eig["p"]))
-    if eig["comparison"]:
-        inclusion, domination = eigfn.comparison_check(spec)
-        checks.extend([inclusion, domination])
-        out["ball_measure"] = inclusion.lhs
-    if eig["ode"]:
-        checks.append(eigfn.rearrangement_ode_check(spec))
-    return out, checks
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +352,6 @@ def run_scenario(config: dict) -> dict:
     spec = build_spectrum(scenario.spectrum)
     t_solve = time.perf_counter() - t_start
     check_results, errors = _run_checks(scenario.checks, spec)
-    eig_out, eig_checks = _run_eigenfunction(scenario.eigenfunction, spec)
-    check_results = check_results + eig_checks
-
     hard = [c for c in check_results if c.applicable and not c.diagnostic]
     return _jsonable({
         "config": config,
@@ -353,7 +361,6 @@ def run_scenario(config: dict) -> dict:
                      "values": spec.values, "residuals": spec.residuals},
         "checks": check_results,
         "check_errors": errors,
-        "eigenfunction": eig_out,
         "overall_pass": all(c.passed for c in hard),
         "timing": {
             "solve_seconds": t_solve,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,13 +252,19 @@ def ratio_constant(d: int) -> float:
 @functools.lru_cache(maxsize=None)
 def chiti_constant(d: int, p: float) -> float:
     """The sharp sup-norm constant C_d(p) = (2^(p nu) Gamma(d/2)^p |S^(d-1)| I_d(p))^(-1/p),
-    nu = (d-2)/2, with the p-th powers taken out of the root against overflow; cached per (d, p)."""
+    nu = (d-2)/2, with the p-th powers taken out of the root against overflow; cached per (d, p).
+    A value below the normal float range (at small p, C_2(p) is 0.0 below p ~ 0.0039)
+    raises NumericalError."""
     if not 0 < float(p) < math.inf:
         raise InputDataError(f"Chiti exponent p must be a finite positive number, got {p}")
     d, p = _dimension(d), float(p)
     nu = (d - 2) / 2.0
     root = (sphere_area(d) * radial_bessel_integral(d, p)) ** (-1.0 / p)
-    return root / (2.0**nu * math.gamma(d / 2))
+    c_p = root / (2.0**nu * math.gamma(d / 2))
+    if c_p < sys.float_info.min:
+        raise NumericalError(f"Chiti constant C_{d}({p}) did not reach tolerance: {c_p} lies "
+                             "below the normal float range")
+    return c_p
 
 
 @functools.lru_cache(maxsize=None)

@@ -61,3 +61,12 @@ def duplicating_solver(monkeypatch):
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def degeneracy_flags(values: np.ndarray) -> np.ndarray:
+    """Flag each lambda_j within a relative gap eigensolve.DEGENERACY_RTOL of a neighbour."""
+    flags = np.zeros(values.size, dtype=bool)
+    close = np.diff(values) <= eigensolve.DEGENERACY_RTOL * values[:-1]
+    flags[:-1] |= close
+    flags[1:] |= close
+    return flags

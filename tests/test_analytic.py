@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 
 import magspec as ms
-from magspec.eigensolve import _degeneracy_flags
+from conftest import degeneracy_flags
 
 
 class TestBoxSpectrum:
@@ -21,7 +21,7 @@ class TestBoxSpectrum:
         spec = ms.box_spectrum([1.0, 1.0, 1.0], 10)
         assert spec.d == 3
         assert spec.values[0] == pytest.approx(3 * np.pi**2, rel=1e-12)
-        assert np.all(_degeneracy_flags(spec.values)[1:4])
+        assert np.all(degeneracy_flags(spec.values)[1:4])
 
     def test_anisotropic_box(self):
         spec = ms.box_spectrum([2.0, 1.0], 6)
@@ -65,7 +65,7 @@ class TestDiskSpectrum:
         j11 = ms.bessel_zero(1.0, 1)
         assert disk_unit_spectrum.values[1] == pytest.approx(j11**2, rel=1e-12)
         assert disk_unit_spectrum.values[2] == pytest.approx(j11**2, rel=1e-12)
-        assert np.all(_degeneracy_flags(disk_unit_spectrum.values)[1:3])
+        assert np.all(degeneracy_flags(disk_unit_spectrum.values)[1:3])
 
     def test_scaling_with_radius(self, disk_unit_spectrum):
         spec2 = ms.disk_spectrum(2.0, 50)

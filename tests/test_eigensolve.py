@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 import magspec as ms
 from magspec import eigensolve
+from conftest import degeneracy_flags
 
 
 class TestStripOracle:
@@ -63,7 +64,7 @@ class TestLowestEigenpairs:
     def test_degeneracy_flags_on_square(self, small_square_op):
         _, op = small_square_op
         spec, _ = ms.lowest_eigenpairs(op, 3)
-        np.testing.assert_array_equal(eigensolve._degeneracy_flags(spec.values),
+        np.testing.assert_array_equal(degeneracy_flags(spec.values),
                                       [False, True, True])
 
     def test_constant_shift(self, small_square_op):

@@ -21,12 +21,6 @@ class TestNorms:
         assert rep.sup_norm == 2.0
         assert rep.lp[1.0] == pytest.approx(8.0)
         assert rep.lp[2.0] == pytest.approx(4.0)
-        assert not rep.l2_normalized
-
-    def test_normalized_flag(self):
-        v = np.ones(4) / math.sqrt(4 * 0.25)
-        rep = ms.norms(v, h=0.5)
-        assert rep.l2_normalized
 
     def test_complex_moduli(self):
         v = np.array([3 + 4j, 0.0])

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magspec as ms
-from magspec import bounds, cli, domain, eigensolve, harness
-from magspec.eigensolve import _degeneracy_flags
+from magspec import bounds, cli, domain, eigensolve, eigfn, harness
+from conftest import degeneracy_flags
 
 
 def box_config(**extra):
@@ -94,16 +94,18 @@ class TestConfigParsing:
         assert (grid.shape, grid.h, grid.k, grid.tol) == (ms.Rectangle(1.0, 1.0), 0.125, 6, 1e-10)
         assert grid.gauge == ms.GaugeSpec.uniform(5.0)
         assert grid.potential == ms.PotentialSpec.zero()
-        assert scenario.checks == [("ratio-bounds", (1, 2), ()), ("yang", (1, 3), ())]
-        assert scenario.eigenfunction == {"chiti": True, "comparison": True, "ode": True,
-                                          "p": 2.0}
+        # the eigenfunction block's flags select its checks, after the listed ones
+        assert scenario.checks == [("ratio-bounds", (1, 2), ()), ("yang", (1, 3), ()),
+                                   ("chiti-sup-bound", (2.0,), ()),
+                                   ("ball-comparison", (None,), ()),
+                                   ("rearrangement-slope", (None,), ())]
         assert (scenario.reference.kind, scenario.reference.size) == ("disk", 1.0)
         box = harness.parse_config(box_config(checks=[
             {"name": "berezin-li-yau", "lambdas": [100], "lambda_indices": [3]}]))
         assert (box.spectrum.kind, box.spectrum.size, box.spectrum.count) == ("box", (1.0, 1.0),
                                                                               250)
         assert box.checks == [("berezin-li-yau", (100.0,), (3,))]
-        assert box.eigenfunction is None and box.reference is None
+        assert box.reference is None
 
     def test_validate_rejects_bad_configs(self):
         with pytest.raises(ms.InputDataError):
@@ -133,7 +135,7 @@ class TestRunScenario:
         assert {"chiti-sup-bound", "heat-kernel-sup-bound", "ball-inclusion",
                 "profile-domination", "rearrangement-slope"} <= names
         assert report["notes"]  # finite-spectrum note attached to grid runs
-        assert report["eigenfunction"]["norms"]["l2_normalized"]
+        assert "eigenfunction" not in report
 
     def test_lambda_indices_resolved_from_spectrum(self):
         cfg = box_config(checks=[{"name": "riesz-mean-lower", "lambda_indices": [40]}])
@@ -277,7 +279,7 @@ class TestRunScenario:
         by_name = {c["name"]: c for c in report["checks"]}
         lam = report["spectrum"]["values"][0]
         measure = report["spectrum"]["measure"]
-        ball_measure = report["eigenfunction"]["ball_measure"]
+        ball_measure = by_name["ball-inclusion"]["lhs"]
         assert by_name["chiti-sup-bound"]["slack"] == 0.0
         assert by_name["heat-kernel-sup-bound"]["slack"] == 0.0
         assert by_name["ball-inclusion"]["slack"] == 10.0 * h * max(measure, ball_measure) ** 0.5
@@ -536,9 +538,9 @@ class TestReportText:
         harness.write_report(harness.run_scenario(config), path)
         written = json.loads(path.read_text())["spectrum"]
         spec = harness.build_spectrum(harness.parse_config(config).spectrum)
-        flags = _degeneracy_flags(spec.values)
+        flags = degeneracy_flags(spec.values)
         assert "degeneracy_flags" not in written and flags.any()
-        np.testing.assert_array_equal(_degeneracy_flags(np.array(written["values"])), flags)
+        np.testing.assert_array_equal(degeneracy_flags(np.array(written["values"])), flags)
 
 
 class TestCli:
@@ -590,20 +592,54 @@ class TestCli:
         assert capsys.readouterr().out == out_path.read_text()
 
     @pytest.mark.parametrize("dim, p", [("8", "200"), ("9", "150"), ("5", "540"), ("10", "250"),
-                                        ("4", "1100"), ("2", "1e200")])
+                                        ("4", "1100"), ("2", "1e200"), ("2", "1e-5"),
+                                        ("3", "0.003")])
     def test_constants_underflow_exit_three(self, capsys, dim, p):
-        # I_d(p) underflows, the rule's weights overflow, or above p ~ 1e154 scipy
-        # cannot build the rule at all: a typed numerical failure, not C_d(p) = 0,
-        # not an OverflowError and not scipy's ValueError (exit 2)
+        # I_d(p) underflows, the rule's weights overflow, above p ~ 1e154 scipy
+        # cannot build the rule at all, or at small p C_d(p) itself underflows: a
+        # typed numerical failure, not C_d(p) = 0, not an OverflowError and not
+        # scipy's ValueError (exit 2)
         assert cli.main(["constants", "--dim", dim, "--p", p]) == 3
         assert "did not reach tolerance" in capsys.readouterr().err
 
     def test_huge_chiti_exponent_exit_three(self, tmp_path, capsys):
-        # the eigenfunction block's p reaches the same rule, after the solve
+        # the eigenfunction block's p reaches the same rule, after the solve; the
+        # comparison is off, as its profile-domination fails on this coarse grid
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(grid_config(h=0.125, k=4, eigenfunction={"p": 1e200})))
+        cfg_path.write_text(json.dumps(grid_config(
+            h=0.125, k=4, eigenfunction={"p": 1e200, "comparison": False})))
         assert cli.main(["verify", "--config", str(cfg_path)]) == 3
-        assert "did not reach tolerance" in capsys.readouterr().err
+        [error] = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("ERROR")]
+        assert "chiti-sup-bound" in error and "did not reach tolerance" in error
+
+    def test_small_chiti_exponent_exit_three(self, tmp_path, capsys):
+        # lambda_1^(d/2p) overflowed at p = 1e-5 and ended in a traceback with exit 1;
+        # now C_d(p) underflows first, and either is a check error like any check's
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg_path.write_text(json.dumps(grid_config(
+            h=1 / 16, k=4, eigenfunction={"p": 1e-5, "comparison": False})))
+        assert cli.main(["verify", "--config", str(cfg_path), "--out", str(out_path)]) == 3
+        assert any(line.startswith("ERROR") and "chiti-sup-bound" in line
+                   for line in capsys.readouterr().out.splitlines())
+        [error] = json.loads(out_path.read_text())["check_errors"]
+        assert error["check"] == "chiti-sup-bound" and error["p"] == 1e-05
+
+    def test_eigenfunction_check_error_keeps_the_other_verdicts(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # an eigenfunction check that raises is one check error, as a spectral one is
+        def fail(spec):
+            raise ms.NumericalError("comparison failed")
+
+        monkeypatch.setattr(eigfn, "comparison_check", fail)
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg_path.write_text(json.dumps(grid_config(h=1 / 16, k=4, eigenfunction={})))
+        assert cli.main(["verify", "--config", str(cfg_path), "--out", str(out_path)]) == 3
+        report = json.loads(out_path.read_text())
+        names = [c["name"] for c in report["checks"]]
+        assert names[-2:] == ["chiti-sup-bound", "heat-kernel-sup-bound"]
+        assert report["check_errors"] == [{"check": "ball-comparison", "error": "NumericalError",
+                                           "message": "comparison failed"}]
 
     @pytest.mark.parametrize("command", ["verify", "spectrum", "convergence"])
     def test_value_error_inside_a_solve_exit_three(self, tmp_path, capsys, monkeypatch,
