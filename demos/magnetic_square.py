@@ -19,7 +19,7 @@ def main():
     print(f"{'B':>6} {'lambda_1':>12} {'lambda_2':>12} {'lambda_3':>12}")
     base = None
     for B in (0.0, 2.0, 5.0, 10.0, 20.0):
-        op = ms.assemble(dom, ms.GaugeSpec.uniform(B), ms.PotentialSpec.zero())
+        op = ms.assemble(dom, ms.GaugeSpec(B), ms.PotentialSpec())
         spec, _ = ms.lowest_eigenpairs(op, 3)
         if base is None:
             base = spec.values[0]
@@ -29,7 +29,7 @@ def main():
           f"lambda_1(0) = {base:.6f}")
 
     B = 5.0
-    op = ms.assemble(dom, ms.GaugeSpec.uniform(B), ms.PotentialSpec.zero())
+    op = ms.assemble(dom, ms.GaugeSpec(B), ms.PotentialSpec())
     spec, _ = ms.lowest_eigenpairs(op, 8)
 
     rng = np.random.default_rng(0)
@@ -38,8 +38,8 @@ def main():
     diff = np.max(np.abs(spec_shift.values - spec.values) / spec.values)
     print(f"\nrandom phase conjugation at B = {B}: max rel. spectrum change {diff:.2e}")
 
-    landau_like = ms.GaugeSpec.linear_gauge_shift(0.0, 0.0, B / 2, B=B)
-    op2 = ms.assemble(dom, landau_like, ms.PotentialSpec.zero())
+    landau_like = ms.GaugeSpec(B, (0.0, 0.0, B / 2))
+    op2 = ms.assemble(dom, landau_like, ms.PotentialSpec())
     spec2, _ = ms.lowest_eigenpairs(op2, 8)
     diff2 = np.max(np.abs(spec2.values - spec.values) / spec.values)
     print(f"symmetric vs shifted linear gauge:       max rel. spectrum change {diff2:.2e}")

@@ -18,7 +18,7 @@ import magspec as ms
 def grid_spectrum(shape, h):
     """lambda_1 of the shape's grid operator, with the ground state it carries."""
     dom = ms.build_domain(shape, h)
-    op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+    op = ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec())
     return ms.lowest_eigenpairs(op, 1)[0]
 
 

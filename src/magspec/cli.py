@@ -26,6 +26,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+#: The last line of ``verify``: its verdict, by its exit code.
+_OVERALL = {EXIT_OK: "pass", EXIT_VIOLATION: "FAIL", EXIT_NUMERICAL: "ERROR"}
 
 
 def _load_config(path: str) -> dict:
@@ -79,8 +81,9 @@ def _cmd_verify(args) -> int:
         print(f"{status:18s} {chk['name']:26s} margin={chk['margin']:+.6e}")
     for err in report["check_errors"]:
         print(f"ERROR              {err['check']:26s} {err['error']}: {err['message']}")
-    print(f"overall: {'pass' if report['overall_pass'] else 'FAIL'}")
-    return _report_exit_code(report)
+    code = _report_exit_code(report)
+    print(f"overall: {_OVERALL[code]}")
+    return code
 
 
 def _cmd_convergence(args) -> int:

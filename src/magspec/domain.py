@@ -1,7 +1,9 @@
 """Masked uniform grids, gauge potentials and electric potentials in 2-D.
 
 A grid domain is the set of lattice nodes strictly inside a shape; Dirichlet
-conditions are imposed by treating every node outside the mask as zero.
+conditions are imposed by treating every node outside the mask as zero.  The
+gauge and the potential are plain records, each with one formula; a gauge or
+potential kind of a config (see ``harness``) sets some of their fields.
 """
 
 from __future__ import annotations
@@ -188,29 +190,15 @@ def build_domain(shape: Shape, h: float) -> GridDomain:
 
 @dataclass(frozen=True)
 class GaugeSpec:
-    """Magnetic gauge potential.
+    """Magnetic gauge potential A = (B/2)(-y, x) + grad chi, chi = c0*x + c1*y + c2*x*y.
 
-    A uniform field B uses the symmetric gauge A = (B/2)(-y, x).  A linear
-    gauge shift adds grad chi with chi = c0*x + c1*y + c2*x*y; on its own it
-    carries zero magnetic field, combined with ``uniform`` it re-expresses the
-    same field in another gauge.
+    The symmetric gauge carries the uniform field B; grad chi carries no field,
+    so ``chi_coeffs`` re-express the same field in another gauge.  The defaults
+    give A = 0.
     """
 
     B: float = 0.0
     chi_coeffs: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    @classmethod
-    def none(cls) -> "GaugeSpec":
-        return cls()
-
-    @classmethod
-    def uniform(cls, B: float) -> "GaugeSpec":
-        return cls(B=float(B))
-
-    @classmethod
-    def linear_gauge_shift(cls, c0: float, c1: float, c2: float = 0.0,
-                           B: float = 0.0) -> "GaugeSpec":
-        return cls(B=float(B), chi_coeffs=(float(c0), float(c1), float(c2)))
 
     def link_phase(self, x, y, di: int, dj: int, h: float):
         """Peierls phase of the lattice edge with midpoint (x, y) and unit step
@@ -228,54 +216,24 @@ class GaugeSpec:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Non-negative electric potential: zero, constant, radial quadratic, or grid file."""
+    """Electric potential V = c + a |x - center|^2, or with ``path`` the values of a
+    CSV grid file (rows are y-lines, as in mask files).  The defaults give V = 0.
+    ``assemble`` refuses a V that is not finite and non-negative."""
 
-    kind: str = "zero"
     c: float = 0.0
     a: float = 0.0
     center: tuple[float, float] = (0.0, 0.0)
     path: str | None = None
 
-    @classmethod
-    def zero(cls) -> "PotentialSpec":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: float) -> "PotentialSpec":
-        if c < 0:
-            raise ValueError(f"constant potential must be non-negative, got {c}")
-        return cls(kind="constant", c=float(c))
-
-    @classmethod
-    def radial_quadratic(cls, a: float, center=(0.0, 0.0)) -> "PotentialSpec":
-        if a < 0:
-            raise ValueError(f"quadratic coefficient must be non-negative, got {a}")
-        return cls(kind="radial_quadratic", a=float(a), center=(float(center[0]), float(center[1])))
-
-    @classmethod
-    def grid_file(cls, path: str) -> "PotentialSpec":
-        return cls(kind="grid_file", path=str(path))
-
-    def formula(self, x, y):
-        """Value of an analytic (non grid-file) potential at points (x, y)."""
-        if self.kind in ("zero", "constant"):
-            return np.full_like(x, self.c)
-        if self.kind == "radial_quadratic":
-            dx = x - self.center[0]
-            dy = y - self.center[1]
-            return self.a * (dx * dx + dy * dy)
-        raise ValueError(f"potential kind {self.kind!r} has no closed form")
-
     def sample_on(self, dom: GridDomain) -> np.ndarray:
         """Potential values at all interior nodes of a domain."""
-        if self.kind != "grid_file":
-            return self.formula(dom.points[:, 0], dom.points[:, 1])
-        arr = _load_csv_array(self.path)
-        vals = arr.T  # rows are y-lines, same layout as mask files
+        if self.path is None:
+            x, y = dom.points.T
+            return self.c + self.a * ((x - self.center[0]) ** 2 + (y - self.center[1]) ** 2)
+        vals = _load_csv_array(self.path).T
         if vals.shape != dom.dims:
             raise InputDataError(
                 f"potential grid {vals.shape} does not match domain grid {dom.dims}"
             )
         ii, jj = np.nonzero(dom.mask)
         return vals[ii, jj]
-

@@ -199,18 +199,17 @@ _DOMAIN = {"shape": (_Choice(
     annulus=(Annulus, {"r_inner": _LENGTH, "r_outer": _LENGTH}),
     mask_file=(MaskFile, {"path": ("str", ...)})), ...), "h": _LENGTH}
 _GAUGE = {"kind": (_Choice(
-    none=(GaugeSpec.none, {}),
-    uniform=(GaugeSpec.uniform, {"B": ("real", ...)}),
-    linear_gauge_shift=(lambda B, chi_coeffs: GaugeSpec.linear_gauge_shift(*chi_coeffs, B=B),
+    none=(GaugeSpec, {}),
+    uniform=(GaugeSpec, {"B": ("real", ...)}),
+    linear_gauge_shift=(lambda B, chi_coeffs: GaugeSpec(B, (*chi_coeffs, 0.0)[:3]),
                         {"B": ("real", 0.0),
                          "chi_coeffs": (("real", range(2, 4)), [0.0, 0.0, 0.0])})), "none")}
 _POTENTIAL = {"kind": (_Choice(
-    zero=(PotentialSpec.zero, {}),
-    constant=(PotentialSpec.constant, {"c": ("coefficient", ...)}),
-    radial_quadratic=(PotentialSpec.radial_quadratic,
-                      {"a": ("coefficient", ...),
-                       "center": (("coordinate", range(2, 3)), [0.0, 0.0])}),
-    grid_file=(PotentialSpec.grid_file, {"path": ("str", ...)})), "zero")}
+    zero=(PotentialSpec, {}),
+    constant=(PotentialSpec, {"c": ("coefficient", ...)}),
+    radial_quadratic=(PotentialSpec, {"a": ("coefficient", ...),
+                                      "center": (("coordinate", range(2, 3)), [0.0, 0.0])}),
+    grid_file=(PotentialSpec, {"path": ("str", ...)})), "zero")}
 _GRID = {"domain": (_DOMAIN, ...), "gauge": (_GAUGE, {}), "potential": (_POTENTIAL, {}),
          "solver": ({"k": ("count", 10), "tol": ("tolerance", 1e-10)}, {})}
 _SPECTRUM = {"type": (_Choice(

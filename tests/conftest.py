@@ -29,21 +29,21 @@ def jn_zeros_to_210():
 def small_square_op():
     """Non-magnetic unit square at h=1/16 (n = 225, with a double eigenvalue)."""
     dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16)
-    return dom, ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+    return dom, ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec())
 
 
 @pytest.fixture(scope="session")
 def magnetic_square_op():
     """Uniform field B=5 on the unit square at h=1/16."""
     dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16)
-    return dom, ms.assemble(dom, ms.GaugeSpec.uniform(5.0), ms.PotentialSpec.zero())
+    return dom, ms.assemble(dom, ms.GaugeSpec(5.0), ms.PotentialSpec())
 
 
 @pytest.fixture(scope="session")
 def square_ground_state_h64():
     """Ground state of the non-magnetic unit square at h=1/64."""
     dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 64)
-    op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+    op = ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec())
     spec, vectors = ms.lowest_eigenpairs(op, 1)
     return dom, spec, vectors[0]
 

@@ -26,7 +26,7 @@ def _report(num: int, label: str, ok: bool) -> None:
 def magnetic_h64():
     """Unit square, uniform B = 5, h = 1/64, lowest 20 eigenpairs."""
     dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 64)
-    op = ms.assemble(dom, ms.GaugeSpec.uniform(5.0), ms.PotentialSpec.zero())
+    op = ms.assemble(dom, ms.GaugeSpec(5.0), ms.PotentialSpec())
     spec, vectors = ms.lowest_eigenpairs(op, 20)
     return dom, op, spec, vectors
 
@@ -35,7 +35,7 @@ def magnetic_h64():
 def disk_ground_h128():
     """Unit disk ground state at h = 1/128."""
     dom = ms.build_domain(ms.Disk(1.0), 1 / 128)
-    op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+    op = ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec())
     spec, vectors = ms.lowest_eigenpairs(op, 1)
     return dom, spec, vectors[0]
 
@@ -167,7 +167,7 @@ def test_criterion_5_discretization_convergence():
 
     # dual-route solver agreement: the dense oracle against the Lanczos solve
     dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 40)
-    op = ms.assemble(dom, ms.GaugeSpec.uniform(3.0), ms.PotentialSpec.zero())
+    op = ms.assemble(dom, ms.GaugeSpec(3.0), ms.PotentialSpec())
     from magspec.eigensolve import _solve_dense, _solve_sparse, _split
     dense, _ = _solve_dense(op, 10)
     sparse, _ = _solve_sparse(op, _split(op), 10, tol=1e-12)

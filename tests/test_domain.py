@@ -84,10 +84,10 @@ def plaquette_phase(g, x, y, h):
 
 class TestLinkPhase:
     def test_no_gauge_is_zero(self):
-        assert ms.GaugeSpec.none().link_phase(0.3, 0.45, 0, 1, 0.1) == 0.0
+        assert ms.GaugeSpec().link_phase(0.3, 0.45, 0, 1, 0.1) == 0.0
 
     def test_symmetric_gauge_vanishes_on_x_axis(self):
-        g = ms.GaugeSpec.uniform(5.0)
+        g = ms.GaugeSpec(5.0)
         # horizontal edges centered on the x-axis: A_x = -(B/2) y = 0 there
         x = np.linspace(-1.0, 1.0, 9)
         assert np.all(g.link_phase(x, np.zeros_like(x), 1, 0, 0.1) == 0.0)
@@ -97,7 +97,7 @@ class TestLinkPhase:
     @settings(max_examples=50, deadline=None)
     def test_antisymmetry(self, x, y, b, c0, c1, c2):
         # the reversed edge has the same midpoint and the opposite step
-        g = ms.GaugeSpec.linear_gauge_shift(c0, c1, c2, B=b)
+        g = ms.GaugeSpec(b, (c0, c1, c2))
         for di, dj in ((1, 0), (0, 1)):
             assert g.link_phase(x, y, di, dj, 0.25) == -g.link_phase(x, y, -di, -dj, 0.25)
 
@@ -108,11 +108,11 @@ class TestLinkPhase:
         # Stokes: the midpoint rule is exact for a linear gauge potential,
         # so the phase around any plaquette equals B h^2 in every gauge
         h = 0.125
-        for g in (ms.GaugeSpec.uniform(b), ms.GaugeSpec.linear_gauge_shift(c0, c1, c2, B=b)):
+        for g in (ms.GaugeSpec(b), ms.GaugeSpec(b, (c0, c1, c2))):
             assert plaquette_phase(g, x, y, h) == pytest.approx(b * h**2, abs=1e-12, rel=1e-12)
 
     def test_plaquette_flux_location_independent(self):
-        g = ms.GaugeSpec.uniform(3.0)
+        g = ms.GaugeSpec(3.0)
         h = 1 / 32
         x0, y0 = np.array([0.0, 0.5, -1.0]), np.array([0.0, 0.25, 2.0])
         assert plaquette_phase(g, x0, y0, h) == pytest.approx(3.0 * h**2, rel=1e-12)
@@ -121,9 +121,9 @@ class TestLinkPhase:
         # every stored off-diagonal entry of the operator is -exp(-i theta)/h^2
         # with theta the link phase of its edge
         h = 1 / 8
-        g = ms.GaugeSpec.linear_gauge_shift(0.3, -0.2, 0.7, B=5.0)
+        g = ms.GaugeSpec(5.0, (0.3, -0.2, 0.7))
         dom = ms.build_domain(ms.LShape(1.0, 1.0, 0.5), h)
-        mat = ms.assemble(dom, g, ms.PotentialSpec.zero()).matrix.tocoo()
+        mat = ms.assemble(dom, g, ms.PotentialSpec()).matrix.tocoo()
         off = mat.row != mat.col
         p, q = dom.points[mat.row[off]], dom.points[mat.col[off]]
         step = np.rint((q - p) / h).astype(int)
@@ -135,25 +135,34 @@ class TestLinkPhase:
 
 class TestPotentials:
     def test_zero_and_constant(self):
-        assert ms.PotentialSpec.zero().formula(0.1, 0.9) == 0.0
-        assert ms.PotentialSpec.constant(3.0).formula(0.1, 0.9) == 3.0
+        dom = ms.build_domain(ms.Disk(1.0), 1 / 8)
+        np.testing.assert_array_equal(ms.PotentialSpec().sample_on(dom), np.zeros(dom.n))
+        np.testing.assert_array_equal(ms.PotentialSpec(c=3.0).sample_on(dom), np.full(dom.n, 3.0))
 
     def test_radial_quadratic(self):
-        pot = ms.PotentialSpec.radial_quadratic(2.0, center=(0.0, 0.0))
-        assert pot.formula(0.5, 0.0) == pytest.approx(0.5)
+        dom = ms.build_domain(ms.Disk(1.0), 1 / 8)
+        x, y = dom.points.T
+        x0, y0 = 0.25, -0.5
+        pot = ms.PotentialSpec(a=2.0, center=(x0, y0))
+        np.testing.assert_array_equal(pot.sample_on(dom), 2.0 * ((x - x0)**2 + (y - y0)**2))
+        # the node (0.5, 0) lies at distance 1/2 from the origin
+        at = dom.index[12, 8]
+        assert ms.PotentialSpec(a=2.0).sample_on(dom)[at] == pytest.approx(0.5)
 
     def test_negative_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ms.PotentialSpec.constant(-1.0)
-        with pytest.raises(ValueError):
-            ms.PotentialSpec.radial_quadratic(-2.0)
+        # the records take any number; the operator refuses a V that is negative somewhere
+        dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 0.25)
+        with pytest.raises(InputDataError):
+            ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec(c=-1.0))
+        with pytest.raises(InputDataError):
+            ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec(a=-2.0))
 
     def test_grid_file(self, tmp_path):
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 0.25)
         p = tmp_path / "pot.csv"
         arr = np.arange(25, dtype=float).reshape(5, 5)
         np.savetxt(p, arr, delimiter=",")
-        pot = ms.PotentialSpec.grid_file(str(p))
+        pot = ms.PotentialSpec(path=str(p))
         vals = pot.sample_on(dom)
         assert vals.shape == (dom.n,)
         # node (0.25, 0.5) is column 1, row 2
@@ -164,9 +173,9 @@ class TestPotentials:
         p = tmp_path / "pot.csv"
         np.savetxt(p, np.ones((4, 4)), delimiter=",")
         with pytest.raises(InputDataError):
-            ms.PotentialSpec.grid_file(str(p)).sample_on(dom)
+            ms.PotentialSpec(path=str(p)).sample_on(dom)
 
     def test_samples_nonnegative_on_domain(self):
         dom = ms.build_domain(ms.Disk(1.0), 1 / 16)
-        pot = ms.PotentialSpec.radial_quadratic(1.5, center=(0.2, -0.1))
+        pot = ms.PotentialSpec(a=1.5, center=(0.2, -0.1))
         assert (pot.sample_on(dom) >= 0).all()

@@ -15,7 +15,7 @@ class TestStripOracle:
         dom = ms.build_domain(ms.Rectangle(1.0, 1.5 * h), h)
         n = dom.n
         assert n == 15
-        op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+        op = ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec())
         spec, _ = ms.lowest_eigenpairs(op, n)
         m = np.arange(1, n + 1)
         exact = 2.0 / h**2 + (4.0 / h**2) * np.sin(m * np.pi * h / 2.0) ** 2
@@ -69,7 +69,7 @@ class TestLowestEigenpairs:
 
     def test_constant_shift(self, small_square_op):
         dom, op0 = small_square_op
-        opc = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.constant(3.5))
+        opc = ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec(c=3.5))
         v0, _ = ms.lowest_eigenpairs(op0, 5)
         vc, _ = ms.lowest_eigenpairs(opc, 5)
         assert vc.values == pytest.approx(v0.values + 3.5, abs=1e-9)
@@ -94,7 +94,7 @@ class TestLowestEigenpairs:
         # an infinite diagonal entry, which assemble refuses, leaves NaN residuals;
         # "res > tol" is False for NaN, so the gate once passed them
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 8)
-        op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+        op = ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec())
         mat = op.matrix.copy()
         mat[dom.n // 2, dom.n // 2] = np.inf
         with pytest.raises(ms.NumericalError, match="residual nan"):
@@ -112,7 +112,7 @@ class TestLowestEigenpairs:
     def test_dense_and_sparse_paths_agree(self):
         # n = 1521: the dense oracle against the Lanczos solve on one operator
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 40)
-        op = ms.assemble(dom, ms.GaugeSpec.uniform(2.0), ms.PotentialSpec.zero())
+        op = ms.assemble(dom, ms.GaugeSpec(2.0), ms.PotentialSpec())
         k = 6
         dense_vals, _ = eigensolve._solve_dense(op, k)
         sparse_vals, _ = eigensolve._solve_sparse(op, eigensolve._split(op), k, tol=1e-12)
@@ -131,7 +131,7 @@ class TestCompleteness:
         # lambda_2 = lambda_3; a single Lanczos solve returns only one copy here
         h = 1 / 64
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), h)
-        op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+        op = ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec())
         spec, _ = ms.lowest_eigenpairs(op, k)
         assert spec.values == pytest.approx(exact_square_spectrum(h, k), rel=1e-8)
 
@@ -208,7 +208,7 @@ class TestSpectrumType:
 
 
 def lowest_values(shape, h, gauge, k=12):
-    op = ms.assemble(ms.build_domain(shape, h), gauge, ms.PotentialSpec.zero())
+    op = ms.assemble(ms.build_domain(shape, h), gauge, ms.PotentialSpec())
     return ms.lowest_eigenpairs(op, k)[0].values
 
 
@@ -225,9 +225,9 @@ class TestFluxSymmetries:
         # -B is the complex conjugate operator; 2 pi/h^2 - B has plaquette flux
         # 2 pi - B h^2, the flux of -B modulo 2 pi (also around the annulus' hole,
         # which the lattice fills with plaquettes)
-        ref = lowest_values(shape, h, ms.GaugeSpec.uniform(b))
+        ref = lowest_values(shape, h, ms.GaugeSpec(b))
         for other in (-b, 2 * np.pi / h**2 - b):
-            vals = lowest_values(shape, h, ms.GaugeSpec.uniform(other))
+            vals = lowest_values(shape, h, ms.GaugeSpec(other))
             assert np.max(np.abs(vals - ref) / ref) < 1e-12
 
 
@@ -245,7 +245,7 @@ class TestPiFluxSquare:
     def test_all_values_at_n16(self):
         n = 16
         op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / n),
-                         ms.GaugeSpec.uniform(np.pi * n**2), ms.PotentialSpec.zero())
+                         ms.GaugeSpec(np.pi * n**2), ms.PotentialSpec())
         vals = ms.lowest_eigenpairs(op, op.n)[0].values
         exact = pi_flux_square_spectrum(n)
         assert vals.shape == exact.shape
@@ -253,7 +253,7 @@ class TestPiFluxSquare:
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_lowest_values(self, n):
-        vals = lowest_values(ms.Rectangle(1.0, 1.0), 1 / n, ms.GaugeSpec.uniform(np.pi * n**2))
+        vals = lowest_values(ms.Rectangle(1.0, 1.0), 1 / n, ms.GaugeSpec(np.pi * n**2))
         exact = pi_flux_square_spectrum(n)[:12]
         assert np.max(np.abs(vals - exact) / exact) < 1e-12
 
@@ -292,9 +292,9 @@ class TestHalfSizeSolve:
     count factors the smaller class for every diagonal."""
 
     @pytest.mark.parametrize("shape,h,gauge,pot,classes", [
-        (ms.LShape(1.0, 1.0, 0.5), 1 / 16, ms.GaugeSpec.linear_gauge_shift(0.7, -0.3, 0.2, B=5.0),
-         ms.PotentialSpec.zero(), [80, 81]),
-        (ms.Annulus(0.3, 1.0), 0.1, ms.GaugeSpec.none(), ms.PotentialSpec.constant(3.0),
+        (ms.LShape(1.0, 1.0, 0.5), 1 / 16, ms.GaugeSpec(5.0, (0.7, -0.3, 0.2)),
+         ms.PotentialSpec(), [80, 81]),
+        (ms.Annulus(0.3, 1.0), 0.1, ms.GaugeSpec(), ms.PotentialSpec(c=3.0),
          [136, 142]),
     ], ids=["lshape-h16-B5-shifted", "annulus-h0.1-c3"])
     def test_matches_dense(self, shape, h, gauge, pot, classes, factored_sizes):
@@ -315,7 +315,7 @@ class TestHalfSizeSolve:
         # both on the one colour split of the call
         n = 16
         op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / n),
-                         ms.GaugeSpec.uniform(np.pi * n**2), ms.PotentialSpec.zero())
+                         ms.GaugeSpec(np.pi * n**2), ms.PotentialSpec())
         splits, requests, used = [], [], []
         split, solve, count = eigensolve._split, eigensolve._solve_sparse, eigensolve._count_below
 
@@ -350,7 +350,7 @@ class TestHalfSizeSolve:
         # lifted to the full grid, once
         n = 16
         op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / n),
-                         ms.GaugeSpec.uniform(np.pi * n**2), ms.PotentialSpec.zero())
+                         ms.GaugeSpec(np.pi * n**2), ms.PotentialSpec())
         events = []
         count, lift = eigensolve._count_below, eigensolve._Split.lift
 
@@ -369,10 +369,10 @@ class TestHalfSizeSolve:
         assert_pairs_match_dense(op, spec, vectors)
 
     @pytest.mark.parametrize("shape,h,gauge,pot", [
-        (ms.Rectangle(1.0, 1.0), 1 / 16, ms.GaugeSpec.none(), ms.PotentialSpec.constant(2.5)),
-        (ms.Rectangle(1.0, 1.0), 1 / 16, ms.GaugeSpec.uniform(37.0), ms.PotentialSpec.constant(2.5)),
-        (ms.Disk(1.0), 0.1, ms.GaugeSpec.uniform(2.0), ms.PotentialSpec.radial_quadratic(1.0)),
-        (ms.LShape(1.0, 1.0, 0.5), 1 / 16, ms.GaugeSpec.none(), ms.PotentialSpec.zero()),
+        (ms.Rectangle(1.0, 1.0), 1 / 16, ms.GaugeSpec(), ms.PotentialSpec(c=2.5)),
+        (ms.Rectangle(1.0, 1.0), 1 / 16, ms.GaugeSpec(37.0), ms.PotentialSpec(c=2.5)),
+        (ms.Disk(1.0), 0.1, ms.GaugeSpec(2.0), ms.PotentialSpec(a=1.0)),
+        (ms.LShape(1.0, 1.0, 0.5), 1 / 16, ms.GaugeSpec(), ms.PotentialSpec()),
     ], ids=["real", "complex", "radial-disk", "lshape-B0"])
     def test_count_below_matches_dense(self, shape, h, gauge, pot, factored_sizes):
         # squares with c = 2.5: exact doubles at B = 0, pairs 1e-4 apart at
@@ -406,8 +406,8 @@ class TestHalfSizeSolve:
         # count eliminates the kept class instead; on the disk centred at a node
         # the two colours share no diagonal value (i + j and i^2 + j^2 have one
         # parity), so H - sigma I itself, with its zero pivots, is never factored
-        op = ms.assemble(ms.build_domain(ms.Disk(1.0), 0.1), ms.GaugeSpec.uniform(2.0),
-                         ms.PotentialSpec.radial_quadratic(1.0))
+        op = ms.assemble(ms.build_domain(ms.Disk(1.0), 0.1), ms.GaugeSpec(2.0),
+                         ms.PotentialSpec(a=1.0))
         split = eigensolve._split(op)
         exact = np.linalg.eigvalsh(op.matrix.toarray())
         sigmas = np.unique(split.d_other)
@@ -422,7 +422,7 @@ class TestHalfSizeSolve:
         # sigma, before it factors anything.  15 x 16 nodes: equal classes, and
         # alpha is no eigenvalue
         op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 17 / 16), 1 / 16),
-                         ms.GaugeSpec.uniform(37.0), ms.PotentialSpec.constant(2.5))
+                         ms.GaugeSpec(37.0), ms.PotentialSpec(c=2.5))
         assert np.bincount(op.colour).tolist() == [120, 120]
         with pytest.raises(ms.NumericalError, match="sigma = 1026.5"):
             eigensolve._count_below(eigensolve._split(op), 4 * 16**2 + 2.5)
@@ -443,8 +443,8 @@ class TestHalfSizeSolve:
         # (i + j = 8), so only 21 values lie below it and lambda_22 = alpha,
         # which S cannot carry
         h = 1 / 8
-        op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), h), ms.GaugeSpec.none(),
-                         ms.PotentialSpec.zero())
+        op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), h), ms.GaugeSpec(),
+                         ms.PotentialSpec())
         kept = np.bincount(op.colour).min()
         assert k < kept - 1
         spec, vectors = ms.lowest_eigenpairs(op, k)
@@ -457,8 +457,8 @@ class TestHalfSizeSolve:
     def test_full_size_otherwise(self, make, factored_sizes):
         # a non-constant diagonal, which a gauge shift keeps: the Lanczos solve
         # runs at full size, and each inertia count after it on the smaller class
-        op = ms.assemble(ms.build_domain(ms.Disk(1.0), 0.1), ms.GaugeSpec.uniform(2.0),
-                         ms.PotentialSpec.radial_quadratic(1.0))
+        op = ms.assemble(ms.build_domain(ms.Disk(1.0), 0.1), ms.GaugeSpec(2.0),
+                         ms.PotentialSpec(a=1.0))
         if make == "gauge-shifted-disk":
             op = ms.gauge_shift(op, np.random.default_rng(7).uniform(-np.pi, np.pi, op.n))
         assert_pairs_match_dense(op, *ms.lowest_eigenpairs(op, 6))
@@ -469,7 +469,7 @@ class TestHalfSizeSolve:
         # gauge_shift keeps the constant diagonal exactly, so the conjugated
         # square is still alpha I + [[0, B], [B^H, 0]] and solves on one colour
         square = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16),
-                             ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+                             ms.GaugeSpec(), ms.PotentialSpec())
         op = ms.gauge_shift(square, np.random.default_rng(7).uniform(-np.pi, np.pi, square.n))
         assert op.colour is square.colour
         assert_pairs_match_dense(op, *ms.lowest_eigenpairs(op, 6))

@@ -76,15 +76,34 @@ class TestConfigParsing:
             parse_grid(domain={"shape": "pentagon", "h": 0.125})
 
     def test_parse_gauge(self):
-        assert parse_grid(gauge=None).gauge == ms.GaugeSpec.none()
+        assert parse_grid(gauge=None).gauge == ms.GaugeSpec()
         assert parse_grid(gauge={"kind": "uniform", "B": 2.0}).gauge.B == 2.0
         with pytest.raises(ms.InputDataError):
             parse_grid(gauge={"kind": "torus"})
 
     def test_parse_potential(self):
-        assert parse_grid(potential=None).potential.kind == "zero"
+        assert parse_grid(potential=None).potential == ms.PotentialSpec()
         with pytest.raises(ms.InputDataError):
             parse_grid(potential={"kind": "random"})
+
+    def test_each_kind_builds_its_record(self):
+        # a gauge or potential kind only sets fields of its one record
+        gauges = [({"kind": "none"}, ms.GaugeSpec()),
+                  ({"kind": "uniform", "B": 5}, ms.GaugeSpec(5.0)),
+                  ({"kind": "linear_gauge_shift", "B": 2, "chi_coeffs": [0.5, -1]},
+                   ms.GaugeSpec(2.0, (0.5, -1.0, 0.0))),
+                  ({"kind": "linear_gauge_shift", "chi_coeffs": [0.5, -1, 3]},
+                   ms.GaugeSpec(0.0, (0.5, -1.0, 3.0)))]
+        for block, record in gauges:
+            assert parse_grid(gauge=block).gauge == record
+        potentials = [({"kind": "zero"}, ms.PotentialSpec()),
+                      ({"kind": "constant", "c": 2.5}, ms.PotentialSpec(c=2.5)),
+                      ({"kind": "radial_quadratic", "a": 3}, ms.PotentialSpec(a=3.0)),
+                      ({"kind": "radial_quadratic", "a": 3, "center": [0.5, -2]},
+                       ms.PotentialSpec(a=3.0, center=(0.5, -2.0))),
+                      ({"kind": "grid_file", "path": "v.csv"}, ms.PotentialSpec(path="v.csv"))]
+        for block, record in potentials:
+            assert parse_grid(potential=block).potential == record
 
     def test_parse_config_typed_values(self):
         scenario = harness.parse_config(grid_config(
@@ -92,8 +111,8 @@ class TestConfigParsing:
             reference={"type": "disk", "radius": 1}))
         grid = scenario.spectrum
         assert (grid.shape, grid.h, grid.k, grid.tol) == (ms.Rectangle(1.0, 1.0), 0.125, 6, 1e-10)
-        assert grid.gauge == ms.GaugeSpec.uniform(5.0)
-        assert grid.potential == ms.PotentialSpec.zero()
+        assert grid.gauge == ms.GaugeSpec(5.0)
+        assert grid.potential == ms.PotentialSpec()
         # the eigenfunction block's flags select its checks, after the listed ones
         assert scenario.checks == [("ratio-bounds", (1, 2), ()), ("yang", (1, 3), ()),
                                    ("chiti-sup-bound", (2.0,), ()),
@@ -624,6 +643,15 @@ class TestCli:
                    for line in capsys.readouterr().out.splitlines())
         [error] = json.loads(out_path.read_text())["check_errors"]
         assert error["check"] == "chiti-sup-bound" and error["p"] == 1e-05
+
+    def test_check_error_overall_line_reads_error(self, tmp_path, capsys):
+        # the last line names the exit code's verdict: it read "overall: pass" before exit 3
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(box_config(checks=[{"name": "li-yau", "ks": [251]}])))
+        assert cli.main(["verify", "--config", str(cfg_path)]) == 3
+        *_, error, overall = capsys.readouterr().out.splitlines()
+        assert error.startswith("ERROR") and "li-yau" in error
+        assert overall == "overall: ERROR"
 
     def test_eigenfunction_check_error_keeps_the_other_verdicts(self, tmp_path, capsys,
                                                                  monkeypatch):

@@ -14,7 +14,7 @@ class TestAssemble:
     def test_single_node_operator(self):
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 0.5)
         assert dom.n == 1
-        op = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.zero())
+        op = ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec())
         assert op.matrix.toarray() == pytest.approx(np.array([[16.0]]))
         assert op.matrix @ np.array([1.0]) == pytest.approx(np.array([16.0]))
 
@@ -50,13 +50,12 @@ class TestAssemble:
         assert abs(op.matrix - ref).max() < 1e-14
 
     @pytest.mark.parametrize("gauge,pot,dtype", [
-        (ms.GaugeSpec.none(), ms.PotentialSpec.zero(), np.float64),
-        (ms.GaugeSpec.none(), ms.PotentialSpec.constant(2.0), np.float64),
-        (ms.GaugeSpec.none(), ms.PotentialSpec.radial_quadratic(1.0, center=(0.5, 0.5)),
-         np.float64),
-        (ms.GaugeSpec.uniform(0.0), ms.PotentialSpec.zero(), np.float64),
-        (ms.GaugeSpec.uniform(5.0), ms.PotentialSpec.zero(), np.complex128),
-        (ms.GaugeSpec.linear_gauge_shift(0.3, -0.2, 0.1), ms.PotentialSpec.zero(), np.complex128),
+        (ms.GaugeSpec(), ms.PotentialSpec(), np.float64),
+        (ms.GaugeSpec(), ms.PotentialSpec(c=2.0), np.float64),
+        (ms.GaugeSpec(), ms.PotentialSpec(a=1.0, center=(0.5, 0.5)), np.float64),
+        (ms.GaugeSpec(0.0), ms.PotentialSpec(), np.float64),
+        (ms.GaugeSpec(5.0), ms.PotentialSpec(), np.complex128),
+        (ms.GaugeSpec(chi_coeffs=(0.3, -0.2, 0.1)), ms.PotentialSpec(), np.complex128),
     ], ids=["none-zero", "none-constant", "none-radial", "uniform-B0", "uniform-B5",
             "shift-B0"])
     def test_dtype_follows_link_phases(self, gauge, pot, dtype):
@@ -70,7 +69,7 @@ class TestAssemble:
     ], ids=["lshape", "annulus"])
     def test_every_link_joins_two_colours(self, shape, h):
         dom = ms.build_domain(shape, h)
-        op = ms.assemble(dom, ms.GaugeSpec.uniform(5.0), ms.PotentialSpec.zero())
+        op = ms.assemble(dom, ms.GaugeSpec(5.0), ms.PotentialSpec())
         ii, jj = np.nonzero(dom.mask)
         np.testing.assert_array_equal(op.colour, (ii + jj) % 2)
         coo = op.matrix.tocoo()
@@ -80,7 +79,7 @@ class TestAssemble:
 
     def test_constant_potential_shifts_spectrum(self, small_square_op):
         dom, op0 = small_square_op
-        opc = ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.constant(7.0))
+        opc = ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec(c=7.0))
         v0 = spectrum_of(op0)
         vc = spectrum_of(opc)
         assert vc == pytest.approx(v0 + 7.0, abs=1e-9)
@@ -95,7 +94,7 @@ class TestAssemble:
             arr[2, 2] = value
             np.savetxt(p, arr, delimiter=",")
             with pytest.raises(InputDataError, match="not finite and non-negative"):
-                ms.assemble(dom, ms.GaugeSpec.none(), ms.PotentialSpec.grid_file(str(p)))
+                ms.assemble(dom, ms.GaugeSpec(), ms.PotentialSpec(path=str(p)))
 
 
 class TestApply:
@@ -125,14 +124,14 @@ class TestGaugeInvariance:
         v0, v1 = spectrum_of(op), spectrum_of(shifted)
         assert np.max(np.abs(v1 - v0) / v0) < 1e-9
 
-    @pytest.mark.parametrize("pot", [ms.PotentialSpec.zero(),
-                                     ms.PotentialSpec.radial_quadratic(3.0, (0.4, 0.6))],
+    @pytest.mark.parametrize("pot", [ms.PotentialSpec(),
+                                     ms.PotentialSpec(a=3.0, center=(0.4, 0.6))],
                              ids=["constant", "radial"])
     def test_diagonal_kept_bit_for_bit(self, pot):
         # |exp(i chi)|^2 is 1 only up to rounding; the product's diagonal is
         # replaced by the original one, in the same sparsity structure
         op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 64),
-                         ms.GaugeSpec.uniform(5.0), pot)
+                         ms.GaugeSpec(5.0), pot)
         shifted = ms.gauge_shift(op, np.random.default_rng(1).normal(scale=10.0, size=op.n))
         assert np.array_equal(shifted.matrix.diagonal(), op.matrix.diagonal())
         assert np.array_equal(shifted.matrix.indptr, op.matrix.indptr)
@@ -146,10 +145,9 @@ class TestGaugeInvariance:
     def test_uniform_field_in_two_gauges(self):
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16)
         b = 3.0
-        sym = ms.assemble(dom, ms.GaugeSpec.uniform(b), ms.PotentialSpec.zero())
+        sym = ms.assemble(dom, ms.GaugeSpec(b), ms.PotentialSpec())
         # same field in a Landau-type gauge: symmetric plus grad(b/2 * x * y)
-        landau = ms.assemble(dom, ms.GaugeSpec.linear_gauge_shift(0, 0, b / 2, B=b),
-                             ms.PotentialSpec.zero())
+        landau = ms.assemble(dom, ms.GaugeSpec(b, (0.0, 0.0, b / 2)), ms.PotentialSpec())
         v0, v1 = spectrum_of(sym), spectrum_of(landau)
         assert np.max(np.abs(v1 - v0) / v0) < 1e-9
 
@@ -158,7 +156,7 @@ class TestDiamagnetic:
     @pytest.mark.parametrize("b", [1.0, 5.0, 10.0])
     def test_ground_state_not_lowered(self, b):
         dom = ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 16)
-        pot = ms.PotentialSpec.radial_quadratic(1.0, center=(0.5, 0.5))
-        lam_free = spectrum_of(ms.assemble(dom, ms.GaugeSpec.none(), pot), 1)[0]
-        lam_mag = spectrum_of(ms.assemble(dom, ms.GaugeSpec.uniform(b), pot), 1)[0]
+        pot = ms.PotentialSpec(a=1.0, center=(0.5, 0.5))
+        lam_free = spectrum_of(ms.assemble(dom, ms.GaugeSpec(), pot), 1)[0]
+        lam_mag = spectrum_of(ms.assemble(dom, ms.GaugeSpec(b), pot), 1)[0]
         assert lam_mag >= lam_free - 1e-10

@@ -59,29 +59,27 @@ def operators(draw):
     B = flux / h**2
     gauge = draw(st.sampled_from(["none", "uniform", "linear_gauge_shift"]))
     if gauge == "none":
-        gauge = ms.GaugeSpec.none()
+        gauge = ms.GaugeSpec()
     elif gauge == "uniform":
-        gauge = ms.GaugeSpec.uniform(B)
+        gauge = ms.GaugeSpec(B)
     else:
-        gauge = ms.GaugeSpec.linear_gauge_shift(*(draw(st.floats(-5.0, 5.0)) for _ in range(3)),
-                                                B=B)
+        gauge = ms.GaugeSpec(B, tuple(draw(st.floats(-5.0, 5.0)) for _ in range(3)))
     x0, y0, x1, y1 = shape.bounding_box()
     potential = draw(st.sampled_from([
-        ms.PotentialSpec.zero(),
-        ms.PotentialSpec.constant(draw(st.floats(0.0, 100.0))),
-        ms.PotentialSpec.radial_quadratic(draw(st.floats(0.0, 100.0)) / (x1 - x0) ** 2,
-                                          (x0 + (x1 - x0) * draw(UNIT),
-                                           y0 + (y1 - y0) * draw(UNIT)))]))
+        ms.PotentialSpec(),
+        ms.PotentialSpec(c=draw(st.floats(0.0, 100.0))),
+        ms.PotentialSpec(a=draw(st.floats(0.0, 100.0)) / (x1 - x0) ** 2,
+                         center=(x0 + (x1 - x0) * draw(UNIT), y0 + (y1 - y0) * draw(UNIT)))]))
     return shape, h, gauge, potential, draw(st.integers(1, min(n - 2, 40))), draw(UNIT)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(operators())
-@example((ms.Disk(0.5773363459494714), 0.05, ms.GaugeSpec.uniform(139.16159534435932),
-          ms.PotentialSpec.constant(20.29102351021836), 2, 0.5))
-@example((ms.Annulus(0.3834809045729536, 1.0), 1 / 16, ms.GaugeSpec.uniform(715.6721087810082),
-          ms.PotentialSpec.constant(36.0582893058421), 1, 0.5))
+@example((ms.Disk(0.5773363459494714), 0.05, ms.GaugeSpec(139.16159534435932),
+          ms.PotentialSpec(c=20.29102351021836), 2, 0.5))
+@example((ms.Annulus(0.3834809045729536, 1.0), 1 / 16, ms.GaugeSpec(715.6721087810082),
+          ms.PotentialSpec(c=36.0582893058421), 1, 0.5))
 def test_lowest_eigenpairs_match_a_dense_solve(case):
     shape, h, gauge, potential, k, where = case
     op = ms.assemble(ms.build_domain(shape, h), gauge, potential)
