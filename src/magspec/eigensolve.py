@@ -5,7 +5,9 @@ positive definite, so its sparse factorization turns the smallest
 eigenvalues into the dominant ones and convergence is fast and grid-size
 robust.  Lanczos can skip a copy of a degenerate eigenvalue, so an inertia
 count (Sylvester's law) certifies that none below the k-th was missed.  The
-start vector is fixed, so repeated solves give identical output.  The solve
+start vector is fixed unless the caller passes one, so repeated solves give
+identical output; a convergence study starts each level from the coarser
+level's eigenvectors, interpolated onto the finer grid.  The solve
 runs in the matrix's own dtype: real float64 arithmetic when every link phase
 is zero, complex otherwise.
 
@@ -75,8 +77,8 @@ class Spectrum:
 
 
 def _start_vector(n: int) -> np.ndarray:
-    # all-ones plus a fixed aperiodic ripple, so the start is never orthogonal
-    # to a symmetry sector
+    # the start when the caller gives none: all-ones plus a fixed aperiodic
+    # ripple, so the start is never orthogonal to a symmetry sector
     v = 1.0 + 0.01 * np.cos(0.7 * np.arange(n)) + 0.001 * np.sin(0.13 * np.arange(n) ** 2 % (2 * np.pi))
     return v / np.linalg.norm(v)
 
@@ -161,9 +163,11 @@ def _count_below(split: _Split, sigma: float) -> int:
     return int(np.count_nonzero(split.d_other < sigma) + np.count_nonzero(lu.U.diagonal().real < 0))
 
 
-def _shift_invert(a: sp.spmatrix, k: int, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """k smallest eigenpairs of a Hermitian positive-definite matrix, sorted; None
-    when ARPACK does not converge, as on a cluster too tight to split at this k."""
+def _shift_invert(a: sp.spmatrix, k: int, tol: float, start: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
+    """k smallest eigenpairs of a Hermitian positive-definite matrix, sorted, from
+    ``start`` (the fixed start if None); None when ARPACK does not converge, as on
+    a cluster too tight to split at this k."""
     lu = _factor(a)
     try:
         vals, vecs = spla.eigsh(
@@ -172,7 +176,7 @@ def _shift_invert(a: sp.spmatrix, k: int, tol: float) -> tuple[np.ndarray, np.nd
             sigma=0.0,
             which="LM",
             OPinv=spla.LinearOperator(a.shape, matvec=lu.solve, dtype=a.dtype),
-            v0=_start_vector(a.shape[0]),
+            v0=_start_vector(a.shape[0]) if start is None else start,
             tol=tol,
             maxiter=50 * k,
         )
@@ -182,26 +186,30 @@ def _shift_invert(a: sp.spmatrix, k: int, tol: float) -> tuple[np.ndarray, np.nd
     return vals[order], vecs[:, order]
 
 
-def _solve_sparse(op: MagneticOperator, split: _Split, k: int, tol: float
-                  ) -> tuple[np.ndarray, np.ndarray] | None:
+def _solve_sparse(op: MagneticOperator, split: _Split, k: int, tol: float,
+                  start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """k lowest eigenvalues of H and Ritz vectors on the rows solved for (the kept class
-    on the half-size path, see _Split.lift, else all n), or None if ARPACK does not converge."""
+    on the half-size path, see _Split.lift, else all n), or None if ARPACK does not
+    converge.  A start vector of length n is restricted to the rows solved for."""
     alpha = split.alpha
     # ARPACK needs k < n - 1 on the kept class too
     if alpha is not None and k < split.kept.size - 1:
-        if (half := _shift_invert(split.complement(0.0), k, tol)) is None:
+        kept_start = None if start is None else start[split.kept]
+        if (half := _shift_invert(split.complement(0.0), k, tol, kept_start)) is None:
             return None
         s, xb = half
         # lambda < alpha / 2, i.e. s < 3 alpha / 4: then ||B|| / (alpha - lambda) < 2
         if s[-1] < 0.75 * alpha:
             return alpha * s / (alpha + np.sqrt(alpha * (alpha - s))), xb
-    return _shift_invert(op.matrix, k, tol)
+    return _shift_invert(op.matrix, k, tol, start)
 
 
-def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10
-                      ) -> tuple[Spectrum, np.ndarray]:
+def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10,
+                      start: np.ndarray | None = None) -> tuple[Spectrum, np.ndarray]:
     """The spectrum of the k smallest eigenvalues of the operator, and their
-    h^2-normalized eigenvectors as the rows of a k x n array."""
+    h^2-normalized eigenvectors as the rows of a k x n array.  ``start``, a vector
+    of length n, seeds the Lanczos iteration: one rich in the wanted eigenvectors
+    saves iterations, and the inertia count and residual gate hold whatever the start."""
     k = int(k)
     if k < 1 or k > op.n:
         raise InputDataError(f"need 1 <= k <= n = {op.n}, got k = {k}")
@@ -211,7 +219,7 @@ def lowest_eigenpairs(op: MagneticOperator, k: int, tol: float = 1e-10
     # widen m until ARPACK converges and the count below the k-th cluster agrees; m < n - 1
     m, split = k, _split(op)
     while m < op.n - 1:
-        if (pairs := _solve_sparse(op, split, m, tol)) is not None:
+        if (pairs := _solve_sparse(op, split, m, tol, start)) is not None:
             vals, vecs = pairs
             sigma = vals[k - 1] * (1 - DEGENERACY_RTOL)
             found = int(np.count_nonzero(vals < sigma))

@@ -271,7 +271,8 @@ def parse_config(config: dict, levels: int = 1) -> Scenario:
     """Read, check and convert every key of a config once, or name a malformed one.
     A grid is refused when its finest level h / 2^(levels - 1) of ``levels``
     convergence levels has more than MAX_GRID_NODES bounding-box nodes (a mask
-    file is limited when it is read)."""
+    file is limited when it is read), and for two or more levels when it reads
+    a mask file or a potential grid file, which fix the grid to one h."""
     top = _read(config, "", _CONFIG)
     spectrum, reference = top["spectrum"]["type"], top["reference"]
     if isinstance(spectrum, Grid) and not isinstance(spectrum.shape, MaskFile):
@@ -280,6 +281,13 @@ def parse_config(config: dict, levels: int = 1) -> Scenario:
         if not finest or ((x1 - x0) / finest + 1) * ((y1 - y0) / finest + 1) > MAX_GRID_NODES:
             raise InputDataError(f"'domain.h' gives more than {MAX_GRID_NODES} grid nodes "
                                  f"at h = {finest:.6g}")
+    if isinstance(spectrum, Grid) and levels >= 2:  # each level must grid the same problem
+        if isinstance(spectrum.shape, MaskFile):
+            raise InputDataError("'domain.shape' mask_file cannot be refined: its nodes are "
+                                 "fixed, so halving h would shrink the domain")
+        if spectrum.potential.path is not None:
+            raise InputDataError("'potential.kind' grid_file cannot be refined: its values "
+                                 "fit the grid of one h only")
     eig = top["eigenfunction"]
     if eig is not None and isinstance(spectrum, Exact):
         raise InputDataError("an 'eigenfunction' block needs a grid spectrum: a box or "
@@ -370,7 +378,9 @@ def run_scenario(config: dict) -> dict:
 
 def convergence_study(config: dict, levels: int) -> dict:
     """Re-run a grid scenario at h, h/2, h/4, ... and report observed
-    convergence orders of the lowest eigenvalues."""
+    convergence orders of the lowest eigenvalues.  Each level after the first
+    starts its Lanczos solve from the previous level's eigenvectors, summed and
+    interpolated onto the finer grid."""
     levels = int(levels)
     if levels < 2:
         raise InputDataError(f"need at least 2 refinement levels, got {levels}")
@@ -379,22 +389,33 @@ def convergence_study(config: dict, levels: int) -> dict:
     if not isinstance(grid, Grid):
         raise InputDataError("convergence studies need a grid scenario; analytic spectra are exact")
 
-    level_values, failures = [], []
+    level_values, level_seconds, failures = [], [], []
+    coarse = None  # the last level's summed eigenvectors on its whole grid, 0 outside the mask
     t0 = time.perf_counter()
     for level in range(levels):
+        t_level, h = time.perf_counter(), grid.h / 2**level
         try:
-            spec = build_spectrum(dataclasses.replace(grid, h=grid.h / 2**level))
+            dom = build_domain(grid.shape, h)
+            op, mask = assemble(dom, grid.gauge, grid.potential), dom.mask
+            del dom  # its points and index are not needed during the solve
+            start = None if coarse is None else _prolong(coarse, mask)
+            coarse = None
+            spec, vectors = lowest_eigenpairs(op, grid.k, grid.tol, start)
         except NumericalError as exc:  # a ValueError is a bad config, not a failed level
-            failures.append({"level": level, "h": grid.h / 2**level,
+            failures.append({"level": level, "h": h,
                              "error": type(exc).__name__, "message": str(exc)})
             break
         level_values.append(spec.values[:grid.k])
+        coarse = np.zeros(mask.shape, dtype=vectors.dtype)
+        coarse[mask] = vectors.sum(axis=0)
+        del op, mask, start, spec, vectors  # only the coarse array outlives its level
+        level_seconds.append(time.perf_counter() - t_level)
 
     report: dict = {
         "config": config,
         "levels": [{"h": grid.h / 2**i, "values": v} for i, v in enumerate(level_values)],
         "failures": failures,
-        "timing": {"total_seconds": time.perf_counter() - t0},
+        "timing": {"total_seconds": time.perf_counter() - t0, "level_seconds": level_seconds},
     }
 
     if scenario.reference and len(level_values) >= 2:
@@ -409,6 +430,18 @@ def convergence_study(config: dict, levels: int) -> dict:
         orders = [np.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
     report["observed_orders"] = orders
     return _jsonable(report)
+
+
+def _prolong(coarse: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a grid array onto the interior nodes ``mask`` of the
+    grid of half its spacing over the same box, in ``np.nonzero(mask)`` order.  Fine
+    node (i, j) lies at coarse (i/2, j/2), so it averages its <= 4 coarse neighbours;
+    they are clipped to the array where the fine grid has one more row or column."""
+    ii, jj = np.nonzero(mask)
+    i0, j0 = ii // 2, jj // 2
+    i1 = np.minimum(i0 + ii % 2, coarse.shape[0] - 1)
+    j1 = np.minimum(j0 + jj % 2, coarse.shape[1] - 1)
+    return 0.25 * (coarse[i0, j0] + coarse[i1, j0] + coarse[i0, j1] + coarse[i1, j1])
 
 
 def strip_timing(report: dict) -> dict:

@@ -52,7 +52,7 @@ def square_ground_state_h64():
 def duplicating_solver(monkeypatch):
     """Replace the Lanczos solve by one that returns lambda_1 twice, a ghost
     pair that no residual gate can catch."""
-    def duplicate(op, split, m, tol):
+    def duplicate(op, split, m, tol, start):
         vals, vecs = eigensolve._solve_dense(op, m)
         keep = [0] + list(range(m - 1))
         return vals[keep], vecs[:, keep]

@@ -139,7 +139,7 @@ class TestCompleteness:
         _, op = small_square_op
         requests = []
 
-        def drop_copy(op, split, m, tol):
+        def drop_copy(op, split, m, tol, start):
             # the first solve leaves out lambda_3 = lambda_2
             requests.append(m)
             vals, vecs = eigensolve._solve_dense(op, m + 1)
@@ -323,10 +323,10 @@ class TestHalfSizeSolve:
             splits.append(split(op))
             return splits[-1]
 
-        def record_solve(op, split, m, tol):
+        def record_solve(op, split, m, tol, start):
             requests.append(m)
             used.append(split)
-            return solve(op, split, m, tol)
+            return solve(op, split, m, tol, start)
 
         def record_count(split, sigma):
             used.append(split)

@@ -174,10 +174,13 @@ class TestRunScenario:
         assert report["check_errors"][0]["error"] == "TruncationError"
         assert any(c["name"] == "yang" and c["passed"] for c in report["checks"])
 
-    def test_determinism(self):
-        cfg = grid_config()
-        a = harness.strip_timing(harness.run_scenario(cfg))
-        b = harness.strip_timing(harness.run_scenario(cfg))
+    @pytest.mark.parametrize("run", [
+        lambda: harness.run_scenario(grid_config()),
+        lambda: harness.convergence_study(grid_config(h=1 / 8, k=4), levels=3),
+    ], ids=["verify", "convergence"])
+    def test_determinism(self, run):
+        a = harness.strip_timing(run())
+        b = harness.strip_timing(run())
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_report_is_json_serializable(self):
@@ -347,6 +350,109 @@ class TestConvergenceStudy:
         with pytest.raises(ms.InputDataError, match="'lengths'"):
             harness.convergence_study(grid_config(h=1 / 8, k=2, reference={"type": "box"}),
                                       levels=2)
+
+    @pytest.mark.parametrize("spectrum,k,levels", [
+        # B = 0: doubled values, half-size real solve
+        (grid_config(h=1 / 8)["spectrum"], 6, 3),
+        # a shifted gauge: complex, half-size
+        ({"type": "grid", "domain": {"shape": "lshape", "a": 1.0, "b": 1.0, "cut": 0.5,
+                                     "h": 1 / 8},
+          "gauge": {"kind": "linear_gauge_shift", "B": 5.0, "chi_coeffs": [0.7, -0.3, 0.2]}},
+         6, 3),
+        # a varying diagonal: full-size solve; the boundary nodes are not nested
+        ({"type": "grid", "domain": {"shape": "disk", "radius": 1.0, "h": 0.2},
+          "potential": {"kind": "radial_quadratic", "a": 3.0, "center": [0.1, -0.2]}}, 5, 3),
+        # flux pi per plaquette at level 0: lambda_1 is double and the count rejects
+        # the first request.  Two levels: at h = 1/64 the lowest Landau level holds
+        # more than 8 values within 3e-9 of each other, which no solve at tol 1e-10
+        # tells apart, so there a cold and a warm solve return different members
+        ({"type": "grid", "domain": {"shape": "rectangle", "a": 1.0, "b": 1.0, "h": 1 / 16},
+          "gauge": {"kind": "uniform", "B": math.pi * 16**2}}, 8, 2),
+    ], ids=["square-B0", "lshape-shifted", "disk-radial", "pi-flux"])
+    def test_warm_started_levels_match_cold_solves(self, monkeypatch, spectrum, k, levels):
+        # each level after the first starts from the coarser level's vectors,
+        # and its values are those of a solve from the fixed start
+        starts, solve = [], harness.lowest_eigenpairs
+
+        def record(op, k, tol, start=None):
+            starts.append(start)
+            return solve(op, k, tol, start)
+
+        monkeypatch.setattr(harness, "lowest_eigenpairs", record)
+        config = {"spectrum": {**spectrum, "solver": {"k": k, "tol": 1e-10}}}
+        report = harness.convergence_study(config, levels)
+        assert not report["failures"] and len(report["timing"]["level_seconds"]) == levels
+        assert starts[0] is None
+        grid = harness.parse_config(config).spectrum
+        for level, start in zip(report["levels"], starts):
+            op = ms.assemble(ms.build_domain(grid.shape, level["h"]), grid.gauge, grid.potential)
+            assert start is None or start.shape == (op.n,) and np.all(start != 0)
+            cold = solve(op, k, 1e-10)[0].values
+            assert np.max(np.abs(np.array(level["values"]) - cold) / cold) < 1e-12
+        assert all(s is not None for s in starts[1:])
+
+    def test_warm_start_saves_solves_at_the_finest_level(self, monkeypatch):
+        # OPinv applications: the h = 1/128 level of a study from h = 1/32 against
+        # a solve of the same operator from the fixed start
+        counts, factor, solve = [], eigensolve._factor, harness.lowest_eigenpairs
+
+        class Counted:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, x):
+                counts[-1] += 1
+                return self.lu.solve(x)
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+        def record(*args):
+            counts.append(0)
+            return solve(*args)
+
+        monkeypatch.setattr(eigensolve, "_factor", lambda a: Counted(factor(a)))
+        monkeypatch.setattr(harness, "lowest_eigenpairs", record)
+        harness.convergence_study(grid_config(h=1 / 32, k=12), levels=3)
+        warm = counts[-1]
+        op = ms.assemble(ms.build_domain(ms.Rectangle(1.0, 1.0), 1 / 128), ms.GaugeSpec(),
+                         ms.PotentialSpec())
+        record(op, 12, 1e-10)
+        assert len(counts) == 4 and warm < counts[-1]
+
+    def test_mask_file_study_refused(self, tmp_path, capsys):
+        # a mask fixes the nodes, so halving h shrank the domain: each level's values
+        # grew fourfold and every order read -2, with exit 0
+        mask = tmp_path / "mask.csv"
+        mask.write_text("".join(",".join("1" if 0 < i < 11 and 0 < j < 11 else "0"
+                                         for j in range(12)) + "\n" for i in range(12)))
+        config = {"spectrum": {"type": "grid", "solver": {"k": 4},
+                               "domain": {"shape": "mask_file", "path": str(mask), "h": 0.1}}}
+        assert len(harness.build_spectrum(harness.parse_config(config).spectrum)) == 4
+        with pytest.raises(ms.InputDataError, match="'domain.shape'"):
+            harness.parse_config(config, levels=2)
+        with pytest.raises(ms.InputDataError, match="'domain.shape'"):
+            harness.convergence_study(config, levels=3)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["convergence", "--config", str(cfg_path)]) == 2
+        assert "'domain.shape'" in capsys.readouterr().err
+
+    def test_potential_grid_file_study_refused_before_any_solve(self, tmp_path, monkeypatch):
+        # the file fits level 0 only: level 0 was solved before the study stopped
+        grid = tmp_path / "v.csv"
+        grid.write_text("\n".join(",".join(["1.5"] * 9) for _ in range(9)) + "\n")
+        config = {"spectrum": {**grid_config(h=1 / 8, k=2)["spectrum"],
+                               "potential": {"kind": "grid_file", "path": str(grid)}}}
+        assert len(harness.build_spectrum(harness.parse_config(config).spectrum)) == 2
+
+        def solve(*args):
+            raise AssertionError("solved a level of a study that cannot refine")
+
+        monkeypatch.setattr(harness, "lowest_eigenpairs", solve)
+        monkeypatch.setattr(harness, "build_domain", solve)
+        with pytest.raises(ms.InputDataError, match="'potential.kind'"):
+            harness.convergence_study(config, levels=2)
 
 
 class TestReportFiles:
@@ -764,7 +870,8 @@ class TestCli:
             raise AssertionError("solved before the output path was checked")
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(harness, "build_spectrum", solve)
+        # every command solves a grid through this name, convergence without build_spectrum
+        monkeypatch.setattr(harness, "lowest_eigenpairs", solve)
         Path("cfg.json").write_text(json.dumps(grid_config(h=1 / 8, k=2)))
         assert cli.main([command, "--config", "cfg.json", "--out", "missing/r.json"]) == 2
         assert capsys.readouterr().err == \
