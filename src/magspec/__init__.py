@@ -15,7 +15,6 @@ from .bounds import (
     check_sup_norm_riesz_lower,
     check_yang,
     check_yang_corollaries,
-    legendre_transform_riesz,
     riesz_mean,
 )
 from .domain import (
@@ -31,13 +30,10 @@ from .domain import (
 )
 from .eigensolve import Spectrum, lowest_eigenpairs
 from .eigfn import (
-    NormReport,
     chiti_check,
     comparison_check,
     decreasing_rearrangement,
-    norms,
     rearrangement_ode_check,
-    z_lp_norm,
     z_profile,
 )
 from .errors import InputDataError, NumericalError, TruncationError

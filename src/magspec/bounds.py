@@ -31,7 +31,6 @@ from .specfun import ratio_constant, unit_ball_volume
 __all__ = [
     "BoundCheck",
     "riesz_mean",
-    "legendre_transform_riesz",
     "check_berezin_li_yau",
     "check_li_yau",
     "check_riesz_lower",
@@ -118,19 +117,6 @@ def riesz_mean(spec: Spectrum, lam: float) -> float:
             "the Riesz mean would be undercounted"
         )
     return float(np.maximum(lam - spec.values, 0.0).sum())
-
-
-def legendre_transform_riesz(spec: Spectrum, p: float) -> float:
-    """Exact Legendre transform of the Riesz-mean function at argument p:
-    frac(p) * lambda_{floor(p)+1} + sum_{j <= floor(p)} lambda_j."""
-    p = float(p)
-    if p < 0:
-        raise ValueError(f"argument must be >= 0, got {p}")
-    ip = int(math.floor(p))
-    if ip + 1 > len(spec):
-        raise TruncationError(f"need {ip + 1} eigenvalues for p = {p}, have {len(spec)}")
-    frac = p - ip
-    return float(frac * spec.values[ip] + spec.values[:ip].sum())
 
 
 def check_berezin_li_yau(spec: Spectrum, lam: float) -> BoundCheck:

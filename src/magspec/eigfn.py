@@ -1,57 +1,33 @@
-"""Eigenfunction analysis: norms, rearrangement, and sup-norm bounds.
+"""Eigenfunction analysis: rearrangement, the radial ball profile, and
+sup-norm bounds.
 
 The decreasing rearrangement of a grid function is taken in set-measure
 coordinates: sort the moduli, attach cell areas.  This is exactly
 equimeasurable with the original function, with no radial binning error.
-``norms`` and ``decreasing_rearrangement`` take any grid function and its
-spacing h.  The checks take a grid spectrum and read lambda_1, its ground
-state omega, h, d and |Omega| from it; on a spectrum without a ground state
-they raise ValueError.
+``decreasing_rearrangement`` takes any grid function and its spacing h.
+The checks take a grid spectrum and read lambda_1, its ground state omega,
+h, d and |Omega| from it; on a spectrum without a ground state they raise
+ValueError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .bounds import BoundCheck, _ground_state, _make_check
 from .eigensolve import Spectrum
-from .specfun import bessel_zero, chiti_constant, heat_kernel_constant, radial_bessel_integral, \
-    sphere_area, unit_ball_volume
+from .specfun import bessel_zero, chiti_constant, heat_kernel_constant, unit_ball_volume
 
 __all__ = [
-    "NormReport",
-    "norms",
     "decreasing_rearrangement",
     "z_profile",
-    "z_lp_norm",
     "chiti_check",
     "comparison_check",
     "rearrangement_ode_check",
 ]
-
-
-@dataclass(frozen=True)
-class NormReport:
-    sup_norm: float
-    lp: dict[float, float]
-
-
-def norms(omega: np.ndarray, h: float, p_list=(1.0, 2.0)) -> NormReport:
-    """Sup norm and discrete L_p norms with cell weight h^2."""
-    omega = np.asarray(omega)
-    if h <= 0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
-    mod = np.abs(omega)
-    sup = float(mod.max(initial=0.0))
-    if sup == 0.0:
-        raise ValueError("cannot take norms of the zero vector")
-    lp = {float(p): float((np.sum(mod ** float(p)) * h**2) ** (1.0 / float(p)))
-          for p in p_list}
-    return NormReport(sup_norm=sup, lp=lp)
 
 
 def decreasing_rearrangement(omega: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -82,29 +58,26 @@ def z_profile(lam: float, d: int, r) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def z_lp_norm(lam: float, d: int, p: float) -> float:
-    """L_p norm of the radial profile over its ball.  With s = sqrt(lam) r it
-    is (|S^(d-1)| lam^((p nu - d)/2) I_d(p))^(1/p), nu = (d-2)/2, where I_d(p)
-    is :func:`radial_bessel_integral`; the power of lam is taken out of the root."""
-    if lam <= 0:
-        raise ValueError(f"eigenvalue must be positive, got {lam}")
-    nu = (d - 2) / 2.0
-    root = (sphere_area(d) * radial_bessel_integral(d, p)) ** (1.0 / p)
-    return root * lam ** ((p * nu - d) / (2 * p))
-
-
 def chiti_check(spec: Spectrum, p: float = 2.0) -> list[BoundCheck]:
     """Sharp and heat-kernel sup-norm bounds for the ground state omega of spec, lam = lambda_1:
     ||omega||_inf <= C_d(p) lam^{d/2p} ||omega||_p  and
-    ||omega||_inf <= (e/(d pi))^{d/4} lam^{d/4} ||omega||_2, both with zero slack."""
-    p, lam, d = float(p), float(spec.values[0]), spec.d
+    ||omega||_inf <= (e/(d pi))^{d/4} lam^{d/4} ||omega||_2, both with zero slack.
+    The L_p norms weigh each node by the cell area h^2.  A grid spacing h <= 0
+    and a zero ground state raise ValueError."""
+    p, lam, d, h = float(p), float(spec.values[0]), spec.d, spec.h
     c_p, heat = chiti_constant(d, p), heat_kernel_constant(d)
-    rep = norms(_ground_state(spec), spec.h, p_list=(p, 2.0))
-    ctx = {"lambda": lam, "d": d, "p": p, "sup_norm": rep.sup_norm}
-    rhs_sharp = c_p * lam ** (d / (2 * p)) * rep.lp[p]
-    rhs_heat = heat * lam ** (d / 4) * rep.lp[2.0]
-    return [_make_check("chiti-sup-bound", rep.sup_norm, rhs_sharp, 0.0, ctx),
-            _make_check("heat-kernel-sup-bound", rep.sup_norm, rhs_heat, 0.0, ctx)]
+    mod = np.abs(_ground_state(spec))
+    if h <= 0:
+        raise ValueError(f"grid spacing must be positive, got {h}")
+    sup = float(mod.max(initial=0.0))
+    if sup == 0.0:
+        raise ValueError("cannot take norms of the zero vector")
+    norm_p, norm_2 = (float((np.sum(mod ** q) * h**2) ** (1.0 / q)) for q in (p, 2.0))
+    ctx = {"lambda": lam, "d": d, "p": p, "sup_norm": sup}
+    rhs_sharp = c_p * lam ** (d / (2 * p)) * norm_p
+    rhs_heat = heat * lam ** (d / 4) * norm_2
+    return [_make_check("chiti-sup-bound", sup, rhs_sharp, 0.0, ctx),
+            _make_check("heat-kernel-sup-bound", sup, rhs_heat, 0.0, ctx)]
 
 
 #: Slack of profile domination, relative to the profile's sup norm z(0).

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import special
 
 import magspec as ms
-from magspec import eigensolve
+from magspec import Spectrum, TruncationError, eigensolve
+from magspec.specfun import radial_bessel_integral, sphere_area
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +73,27 @@ def degeneracy_flags(values: np.ndarray) -> np.ndarray:
     flags[:-1] |= close
     flags[1:] |= close
     return flags
+
+
+def z_lp_norm(lam: float, d: int, p: float) -> float:
+    """L_p norm of the radial profile over its ball.  With s = sqrt(lam) r it
+    is (|S^(d-1)| lam^((p nu - d)/2) I_d(p))^(1/p), nu = (d-2)/2, where I_d(p)
+    is :func:`radial_bessel_integral`; the power of lam is taken out of the root."""
+    if lam <= 0:
+        raise ValueError(f"eigenvalue must be positive, got {lam}")
+    nu = (d - 2) / 2.0
+    root = (sphere_area(d) * radial_bessel_integral(d, p)) ** (1.0 / p)
+    return root * lam ** ((p * nu - d) / (2 * p))
+
+
+def legendre_transform_riesz(spec: Spectrum, p: float) -> float:
+    """Exact Legendre transform of the Riesz-mean function at argument p:
+    frac(p) * lambda_{floor(p)+1} + sum_{j <= floor(p)} lambda_j."""
+    p = float(p)
+    if p < 0:
+        raise ValueError(f"argument must be >= 0, got {p}")
+    ip = int(math.floor(p))
+    if ip + 1 > len(spec):
+        raise TruncationError(f"need {ip + 1} eigenvalues for p = {p}, have {len(spec)}")
+    frac = p - ip
+    return float(frac * spec.values[ip] + spec.values[:ip].sum())

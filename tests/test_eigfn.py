@@ -6,7 +6,9 @@ import pytest
 from scipy import special
 
 import magspec as ms
+from conftest import z_lp_norm
 from magspec import eigfn
+from magspec.specfun import chiti_constant, heat_kernel_constant
 
 
 def _spectrum_of(u, lam, cell_area):
@@ -17,19 +19,20 @@ def _spectrum_of(u, lam, cell_area):
 
 class TestNorms:
     def test_constant_vector(self):
-        rep = ms.norms(np.full(16, 2.0), h=0.5, p_list=(1.0, 2.0))
-        assert rep.sup_norm == 2.0
-        assert rep.lp[1.0] == pytest.approx(8.0)
-        assert rep.lp[2.0] == pytest.approx(4.0)
+        # lambda_1 = 1 on d = 2, so each rhs is its constant times the norm
+        sharp, heat = ms.chiti_check(_spectrum_of(np.full(16, 2.0), 1.0, cell_area=0.25), p=1.0)
+        assert sharp.lhs == heat.lhs == sharp.context["sup_norm"] == 2.0
+        assert sharp.rhs / chiti_constant(2, 1.0) == pytest.approx(8.0)
+        assert heat.rhs / heat_kernel_constant(2) == pytest.approx(4.0)
 
     def test_complex_moduli(self):
         v = np.array([3 + 4j, 0.0])
-        rep = ms.norms(v, h=1.0)
-        assert rep.sup_norm == pytest.approx(5.0)
+        sharp, _ = ms.chiti_check(_spectrum_of(v, 1.0, cell_area=1.0))
+        assert sharp.context["sup_norm"] == pytest.approx(5.0)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            ms.norms(np.zeros(3), h=1.0)
+        with pytest.raises(ValueError, match="zero vector"):
+            ms.chiti_check(_spectrum_of(np.zeros(3), 1.0, cell_area=1.0))
 
 
 class TestRearrangement:
@@ -76,14 +79,14 @@ class TestZNorm:
         lam = 7.0
         j01 = ms.bessel_zero(0.0, 1)
         expected = math.sqrt(math.pi / lam) * j01 * abs(special.jv(1.0, j01))
-        assert ms.z_lp_norm(lam, 2, 2.0) == pytest.approx(expected, rel=1e-10)
+        assert z_lp_norm(lam, 2, 2.0) == pytest.approx(expected, rel=1e-10)
 
     def test_scaling_in_lambda(self):
         # z_lam(r) = z_1(sqrt(lam) r) up to the nu power; L_p norm scales as
         # lam^{(nu p - d) / (2p)} relative amplitude lam^{nu/2}
         d, p = 2, 1.0
-        a = ms.z_lp_norm(1.0, d, p)
-        b = ms.z_lp_norm(4.0, d, p)
+        a = z_lp_norm(1.0, d, p)
+        b = z_lp_norm(4.0, d, p)
         assert b == pytest.approx(a * 4.0 ** (-d / (2 * p)), rel=1e-10)
 
     def test_extremal_chiti_ratio_is_exact(self):
@@ -93,7 +96,7 @@ class TestZNorm:
             for p in (1.0, 2.0):
                 lam = float(ms.bessel_zero((d - 2) / 2.0, 1)) ** 2
                 table = ms.constants_table(d, p_list=(p,))
-                rhs = table.chiti_p[p] * lam ** (d / (2 * p)) * ms.z_lp_norm(lam, d, p)
+                rhs = table.chiti_p[p] * lam ** (d / (2 * p)) * z_lp_norm(lam, d, p)
                 assert ms.z_profile(lam, d, 0.0) == pytest.approx(rhs, rel=1e-9)
 
 
@@ -108,13 +111,13 @@ class TestZNorm:
             val = mpmath.quad(lambda r: max(mpmath.besselj(nu, mpmath.sqrt(lam) * r), 0) ** p
                               * r ** (d - 1 - nu * p), mpmath.linspace(0, radius, 5))
             expected = float((ms.specfun.sphere_area(d) * val) ** (1 / mpmath.mpf(p)))
-        assert ms.z_lp_norm(lam, d, p) == pytest.approx(expected, rel=1e-12)
+        assert z_lp_norm(lam, d, p) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_nonpositive_eigenvalue(self):
         with pytest.raises(ValueError):
-            ms.z_lp_norm(0.0, 2, 2.0)
+            z_lp_norm(0.0, 2, 2.0)
         with pytest.raises(ValueError):
-            ms.z_lp_norm(-1.0, 2, 2.0)
+            z_lp_norm(-1.0, 2, 2.0)
 
 
 class TestChitiCheck:

@@ -1196,7 +1196,10 @@ class TestCli:
         def solve(*args):
             raise AssertionError("solved before the lambda indices were checked")
 
+        # verify and spectrum solve through build_spectrum, convergence through
+        # lowest_eigenpairs
         monkeypatch.setattr(harness, "build_spectrum", solve)
+        monkeypatch.setattr(harness, "lowest_eigenpairs", solve)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         index = config["checks"][-1]["lambda_indices"][-1]
